@@ -52,8 +52,6 @@ def _rows_to_csv(rows):
 def _csv_cell(v):
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, bool):
-        return str(v)
     return str(v)
 
 
@@ -148,28 +146,17 @@ def cmd_radial(args):
 
 
 def cmd_verify(args):
-    names = [name for name, _, _ in ex.VERIFY_PLAN]
-    workers = max(1, args.threads)
-
     def run_one(entry):
         name, func, params = entry
-        rows, summary = func(seed=args.seed, **params[args.scale])
-        return name, rows, summary
+        return name, func(seed=args.seed, **params[args.scale])
 
-    results = {}
-    if workers == 1:
-        for entry in ex.VERIFY_PLAN:
-            name, rows, summary = run_one(entry)
-            results[name] = (rows, summary)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for name, rows, summary in pool.map(run_one, ex.VERIFY_PLAN):
-                results[name] = (rows, summary)
+    workers = max(1, args.threads)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        # map yields in plan order, so outputs do not depend on completion order
+        results = list(pool.map(run_one, ex.VERIFY_PLAN))
 
-    # serialize outputs in plan order regardless of completion order
     table = []
-    for name in names:
-        rows, summary = results[name]
+    for name, (rows, summary) in results:
         _emit(args.out, f"verify_{name}", rows, summary, args.format)
         table.append({"experiment": name, "pass": summary["pass"]})
         print(f"{name:24s} {'PASS' if summary['pass'] else 'FAIL'}")
@@ -215,6 +202,19 @@ def build_parser():
     return p
 
 
+def _config_value(action, key, val):
+    """A config value passed through the type and choices of its flag."""
+    bad = ValueError(f"config key {key}: bad value {val!r}")
+    if action.type is not None:
+        try:
+            val = action.type(str(val))
+        except ValueError:
+            raise bad from None
+    if action.choices is not None and val not in action.choices:
+        raise bad
+    return val
+
+
 def _apply_config(args, parser):
     if args.config:
         try:
@@ -223,13 +223,13 @@ def _apply_config(args, parser):
             raise ValueError(f"cannot read config: {e}")
         if not isinstance(blob, dict):
             raise ValueError("config must be a flat JSON object")
-        defaults = {a.dest: a.default for a in parser._actions}
+        actions = {a.dest: a for a in parser._actions if hasattr(args, a.dest)}
         for key, val in blob.items():
-            if key not in defaults:
+            if key not in actions:
                 raise ValueError(f"unknown config key: {key}")
             # command line wins over the config file
-            if getattr(args, key) == defaults[key]:
-                setattr(args, key, val)
+            if getattr(args, key) == actions[key].default:
+                setattr(args, key, _config_value(actions[key], key, val))
     if isinstance(args.deltas, str):
         args.deltas = _parse_deltas(args.deltas)
     if args.threads is None:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DyadicSquare, grid_shape, side_at_level
-from .measures import PointSet
+from .geometry import DyadicSquare, _cell_codes, _cell_index, side_at_level
+from .measures import PointSet, _dyadic_levels
 
 
 class CoverError(Exception):
@@ -49,19 +49,16 @@ def _level_arrays(P, top_level):
     (level, codes, parent_inverse) where parent_inverse maps this level's
     cells to positions in the next (coarser) entry.
     """
-    _, ny = grid_shape(P.root, P.level)
-    codes = np.unique(P.ix * ny + P.iy)
-    out = [(P.level, codes, None)]
-    level = P.level
-    while level > top_level:
-        ix, iy = codes // ny, codes % ny
-        _, ny_up = grid_shape(P.root, level - 1)
-        up = (ix >> 1) * ny_up + (iy >> 1)
-        codes_up, inv = np.unique(up, return_inverse=True)
-        out[-1] = (out[-1][0], out[-1][1], inv)
-        out.append((level - 1, codes_up, None))
-        codes, ny = codes_up, ny_up
-        level -= 1
+    out = []
+    for level, codes, _ in _dyadic_levels(P):
+        if out:
+            child = out[-1][1]
+            up = _cell_codes(P.root, level + 1,
+                             *_cell_index(P.root, level + 1, child), 1)
+            out[-1] = (level + 1, child, np.searchsorted(codes, up))
+        out.append((level, codes, None))
+        if level <= top_level:
+            break
     return out
 
 
@@ -100,7 +97,6 @@ def dyadic_content(P, s, max_levels_up=None):
     # walk down: a square is in the cover iff it is taken and no taken
     # ancestor exists above it
     cover = []
-    _, ny_top = grid_shape(P.root, levels[-1][0])
     pending = ~takes[-1]
     chosen = takes[-1]
     _emit(cover, P.root, levels[-1][0], levels[-1][1], chosen)
@@ -120,9 +116,9 @@ def dyadic_content(P, s, max_levels_up=None):
 def _emit(cover, root, level, codes, mask):
     if not mask.any():
         return
-    _, ny = grid_shape(root, level)
-    for code in codes[mask]:
-        cover.append(DyadicSquare(root, level, int(code // ny), int(code % ny)))
+    ix, iy = _cell_index(root, level, codes[mask])
+    for a, b in zip(ix.tolist(), iy.tolist()):
+        cover.append(DyadicSquare(root, level, a, b))
 
 
 def smallest_katz_tao_constant(P, s):
@@ -131,15 +127,8 @@ def smallest_katz_tao_constant(P, s):
         raise ValueError("exponent s must lie in (0, 2]")
     if len(P) == 0:
         return 0.0
-    best = 0.0
-    ix, iy = P.ix, P.iy
-    for level in range(P.level, -1, -1):
-        shift = P.level - level
-        _, ny = grid_shape(P.root, level)
-        code = (ix >> shift) * ny + (iy >> shift)
-        _, counts = np.unique(code, return_counts=True)
-        best = max(best, counts.max() / 2.0 ** (shift * s))
-    return best
+    return max(counts.max() / 2.0 ** ((P.level - level) * s)
+               for level, _, counts in _dyadic_levels(P))
 
 
 def smallest_delta_s_constant(P, s):
@@ -148,16 +137,8 @@ def smallest_delta_s_constant(P, s):
         raise ValueError("exponent s must lie in (0, 2]")
     if len(P) == 0:
         return 0.0
-    n = len(P)
-    best = 0.0
-    ix, iy = P.ix, P.iy
-    for level in range(P.level, -1, -1):
-        shift = P.level - level
-        _, ny = grid_shape(P.root, level)
-        code = (ix >> shift) * ny + (iy >> shift)
-        _, counts = np.unique(code, return_counts=True)
-        best = max(best, counts.max() / (side_at_level(P.root, level) ** s * n))
-    return best
+    return max(counts.max() / (side_at_level(P.root, level) ** s * len(P))
+               for level, _, counts in _dyadic_levels(P))
 
 
 def _morton(ix, iy, bits):
@@ -230,16 +211,14 @@ def multiscale_cover(P, s):
 
     # unique-cover: count cells under each cover square, compare with |P|
     covered = 0
-    _, ny_leaf = grid_shape(P.root, P.level)
-    leaf_codes = np.sort(P.ix * ny_leaf + P.iy)
-    for lev, fam in families.items():
-        shift = P.level - lev
-        _, ny = grid_shape(P.root, lev)
-        up = np.sort((P.ix >> shift) * ny + (P.iy >> shift))
-        fam_codes = np.array([sq.ix * ny + sq.iy for sq in fam], dtype=np.int64)
-        lo = np.searchsorted(up, fam_codes, side="left")
-        hi = np.searchsorted(up, fam_codes, side="right")
-        covered += int((hi - lo).sum())
+    for lev, codes, counts in _dyadic_levels(P):
+        fam = families.get(lev, [])
+        fam_codes = _cell_codes(P.root, lev,
+                                np.array([sq.ix for sq in fam], dtype=np.int64),
+                                np.array([sq.iy for sq in fam], dtype=np.int64))
+        lo = np.searchsorted(codes, fam_codes, side="left")
+        hi = np.searchsorted(codes, fam_codes, side="right")
+        covered += int(counts[lo[hi > lo]].sum())
     if covered != len(P):
         raise CoverError("cover is not a partition of the input cells")
 

@@ -17,7 +17,8 @@ from . import incidence as inc
 from . import measures as ms
 from . import scenarios as sc
 from . import spectral as sp
-from .geometry import PLANE, grid_shape, side_at_level
+from .geometry import (LINESPACE, PLANE, grid_shape, level_for_resolution,
+                       side_at_level)
 
 DESK_DELTAS = [2.0 ** -k for k in range(5, 10)]
 
@@ -200,17 +201,14 @@ def exp_lemma4(seed=0, n_fixtures=1000, safety=1.01):
         delta = float(2.0 ** -rng.integers(4, 8))
         n_mu = int(rng.integers(4, 14))
         n_nu = int(rng.integers(4, 14))
-        level = round(math.log2(1 / delta)) + 2
-        nx, _ = grid_shape(PLANE, level)
+        nx, _ = grid_shape(PLANE, level_for_resolution(PLANE, delta))
         # atoms within the unit-ball window
         span = nx // 4
         mu = ms.PlanarAtomMeasure(
             delta, rng.integers(nx // 2 - span // 2, nx // 2 + span // 2, n_mu),
             rng.integers(nx // 2 - span // 2, nx // 2 + span // 2, n_mu),
             rng.uniform(0.1, 1.0, n_mu))
-        lev_l = round(math.log2(1 / delta))
-        ncol = 2 ** lev_l
-        nrow = 2 ** (lev_l + 2)
+        ncol, nrow = grid_shape(LINESPACE, level_for_resolution(LINESPACE, delta))
         nu = ms.LineParamMeasure(
             delta, rng.integers(ncol // 4, 3 * ncol // 4, n_nu),
             rng.integers(nrow // 4, 3 * nrow // 4, n_nu),
@@ -243,7 +241,7 @@ def _auto_plane_window(dim, delta, cap=ATOM_CAP):
     Four equal-mass window squares of side L need L^dim >= 1/64 for the
     generator's Frostman contract, so the window cannot shrink arbitrarily.
     """
-    level = round(math.log2(1.0 / delta)) + 2
+    level = level_for_resolution(PLANE, delta)
     for w_level in range(3, level):
         side = 4.0 * 2.0 ** (-w_level)
         if 0.25 / side ** dim > 14.0:
@@ -255,7 +253,7 @@ def _auto_plane_window(dim, delta, cap=ATOM_CAP):
 
 def _auto_line_window(dim, delta, cap=ATOM_CAP):
     """2x2 dyadic block in [1/4, 3/4) x [-1, 1) sized to the atom cap."""
-    level = round(math.log2(1.0 / delta))
+    level = level_for_resolution(LINESPACE, delta)
     for w_level in range(2, level):
         side = 2.0 ** (-w_level)
         if 0.25 / side ** dim > 14.0:
@@ -273,6 +271,8 @@ def exp_incidence_sweep(seed=0, t_values=(1.1, 1.3, 1.5, 1.7, 1.9),
     Both fixture measures carry dimension t (window sizes scaled so atom
     counts respect the desk limit).
     """
+    if not all(1.0 < t < 2.0 for t in t_values):
+        raise ValueError("exponent t must lie in (1, 2)")
     deltas = deltas or DESK_DELTAS
     resolution = min(deltas)
     rows = []
@@ -362,10 +362,11 @@ def enumerate_cover_min(P, s, max_levels_up=4, cap=200000):
         combos = [0.0]
         for ch in sorted(children[node]):
             sub = covers(ch)
-            combos = [c + v for c in combos for v in sub]
-            count[0] += len(combos)
+            # check before building the product, which can be far over cap
+            count[0] += len(combos) * len(sub)
             if count[0] > cap:
                 raise RuntimeError("enumeration cap exceeded")
+            combos = [c + v for c in combos for v in sub]
         options.extend(combos)
         return options
 
@@ -378,7 +379,7 @@ def _random_point_set(rng, level, n_cells, spread):
     cy = int(rng.integers(spread, ny - spread))
     ix = rng.integers(cx - spread, cx + spread, n_cells)
     iy = rng.integers(cy - spread, cy + spread, n_cells)
-    return ms.PointSet(PLANE, 4.0 * 2.0 ** (-level), ix, iy)
+    return ms.PointSet(PLANE, side_at_level(PLANE, level), ix, iy)
 
 
 def exp_content(seed=0, n_enum=60, n_lp=40):
@@ -518,20 +519,3 @@ VERIFY_PLAN = [
      {"desk": {}, "quick": {"deltas": (2.0 ** -5, 2.0 ** -6)}}),
     ("radial", exp_radial, {"desk": {}, "quick": {"delta": 2.0 ** -7}}),
 ]
-
-
-def verify_all(seed=0, scale="desk"):
-    """Run every experiment at the requested scale.
-
-    Returns (results, all_pass) where results maps experiment name to
-    (rows, summary).  The rows/summaries are deterministic functions of the
-    seed, which the determinism gate relies on.
-    """
-    if scale not in ("desk", "quick"):
-        raise ValueError("scale must be 'desk' or 'quick'")
-    results = {}
-    for name, func, params in VERIFY_PLAN:
-        rows, summary = func(seed=seed, **params[scale])
-        results[name] = (rows, summary)
-    all_pass = all(summary["pass"] for _, summary in results.values())
-    return results, all_pass

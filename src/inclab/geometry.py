@@ -21,17 +21,6 @@ LINESPACE = "LINESPACE"
 HULL_FACTOR = 10.0
 
 
-def unit_vector(theta):
-    a = 2.0 * math.pi * theta
-    return np.array([math.cos(a), math.sin(a)])
-
-
-def line_direction(theta):
-    """Unit vector spanning the line with angle parameter theta."""
-    a = 2.0 * math.pi * theta
-    return np.array([math.sin(a), -math.cos(a)])
-
-
 def project(p, theta):
     """p . e_theta for a single point or an (N, 2) array of points."""
     a = 2.0 * math.pi * theta
@@ -87,6 +76,22 @@ def grid_shape(root, level):
     raise ValueError(f"unknown root {root!r}")
 
 
+def _cell_codes(root, level, ix, iy, up=0):
+    """Codes of the ancestors `up` levels above the level-`level` cells (ix, iy).
+
+    A cell's code at a level with ny rows is ix * ny + iy, so codes sort
+    like (ix, iy); `_cell_index` inverts it.  Nothing else builds codes.
+    """
+    _, ny = grid_shape(root, level - up)
+    return (ix >> up) * ny + (iy >> up)
+
+
+def _cell_index(root, level, codes):
+    """(ix, iy) arrays of the level-`level` cells with the given codes."""
+    _, ny = grid_shape(root, level)
+    return codes // ny, codes % ny
+
+
 def level_for_resolution(root, delta):
     """Level whose cells have side exactly delta (a power of two)."""
     j = round(math.log2(1.0 / delta))
@@ -135,19 +140,10 @@ class DyadicSquare:
         xlo, xhi, ylo, yhi = self.bounds
         return np.array([0.5 * (xlo + xhi), 0.5 * (ylo + yhi)])
 
-    def parent(self):
-        if self.level == 0:
-            return None
-        return DyadicSquare(self.root, self.level - 1, self.ix >> 1, self.iy >> 1)
-
     def children(self):
         return [DyadicSquare(self.root, self.level + 1,
                              2 * self.ix + dx, 2 * self.iy + dy)
                 for dy in (0, 1) for dx in (0, 1)]
-
-    def contains_point(self, x, y):
-        xlo, xhi, ylo, yhi = self.bounds
-        return xlo <= x < xhi and ylo <= y < yhi
 
 
 def cell_containing(root, level, x, y):
@@ -186,26 +182,28 @@ def tube_contains(p, tube):
 def projection_range(p, theta_lo, theta_hi):
     """Exact range of theta -> p . e_theta over [theta_lo, theta_hi].
 
-    Writing p in polar form, the projection is |p| cos(2 pi (theta - phi)),
-    so the range is the cosine range over the rotated interval: endpoint
-    values, plus +-|p| whenever a critical angle falls inside.  This is a
-    guaranteed enclosure (exact up to roundoff), so no bisection is needed
-    to decide interval membership.
+    `p` is one point or an (..., 2) array of points; the angles broadcast
+    against the points.  Writing p in polar form, the projection is
+    |p| cos(2 pi (theta - phi)), so the range is the cosine range over the
+    rotated interval: endpoint values, plus +-|p| whenever a critical angle
+    falls inside.  This is a guaranteed enclosure (exact up to roundoff), so
+    no bisection is needed to decide interval membership.
     """
-    x, y = float(p[0]), float(p[1])
-    rad = math.hypot(x, y)
-    if rad == 0.0:
-        return 0.0, 0.0
-    phi = math.atan2(y, x) / (2.0 * math.pi)  # revolutions
+    p = np.asarray(p, dtype=float)
+    px, py = p[..., 0], p[..., 1]
+    rad = np.hypot(px, py)
+    phi = np.arctan2(py, px) / (2.0 * math.pi)  # revolutions
     a = theta_lo - phi
     b = theta_hi - phi
-    vals = [rad * math.cos(2.0 * math.pi * a), rad * math.cos(2.0 * math.pi * b)]
-    # critical points of cos(2 pi t) at t in Z/2 (value +-rad)
-    k = math.ceil(2.0 * a)
-    while k <= 2.0 * b:
-        vals.append(rad if k % 2 == 0 else -rad)
-        k += 1
-    return min(vals), max(vals)
+    va = rad * np.cos(2.0 * math.pi * a)
+    vb = rad * np.cos(2.0 * math.pi * b)
+    # critical points of cos(2 pi t) at t = k/2: +rad for even k, -rad for
+    # odd k; check the first even and the first odd k with k/2 >= a
+    k_first = np.ceil(2.0 * a)
+    parity = np.mod(k_first, 2)
+    hi = np.where(k_first + parity <= 2.0 * b, rad, np.maximum(va, vb))
+    lo = np.where(k_first + 1 - parity <= 2.0 * b, -rad, np.minimum(va, vb))
+    return lo, hi
 
 
 def dyadic_tube_contains(p, dt, slack=0.0):
@@ -219,7 +217,7 @@ def dyadic_tube_contains(p, dt, slack=0.0):
     tlo, thi, rlo, rhi = sq.bounds
     lo, hi = projection_range(p, tlo, thi)
     tol = sq.side * 2.0 ** -40
-    return (lo <= rhi + slack + tol) and (hi >= rlo - slack - tol)
+    return bool(lo <= rhi + slack + tol) and bool(hi >= rlo - slack - tol)
 
 
 def dyadic_tube_hull(dt):

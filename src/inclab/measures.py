@@ -12,12 +12,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (LINESPACE, PLANE, DyadicSquare, dyadic_cover_of_box,
-                       grid_shape, level_for_resolution, root_extent,
-                       side_at_level)
+from .geometry import (LINESPACE, PLANE, DyadicSquare, _cell_codes,
+                       _cell_index, dyadic_cover_of_box, grid_shape,
+                       level_for_resolution, root_extent, side_at_level)
 
 
-class AtomMeasure:
+class _CellSet:
+    """Cells (ix, iy) of one root box at one level, merged and sorted."""
+
+    def __len__(self):
+        return self.ix.size
+
+    def centers(self):
+        (x0, _), (y0, _) = root_extent(self.root)
+        d = self.resolution
+        return np.column_stack([x0 + (self.ix + 0.5) * d,
+                                y0 + (self.iy + 0.5) * d])
+
+
+def _canonical_cells(root, level, ix, iy, weights=None):
+    """Check the cells lie in the root box, merge duplicates and sort by (ix, iy).
+
+    Returns (ix, iy, weights); merged cells sum their weights, and weights
+    stay None when none are given.
+    """
+    ix = np.asarray(ix, dtype=np.int64)
+    iy = np.asarray(iy, dtype=np.int64)
+    nx, ny = grid_shape(root, level)
+    if ix.size and (ix.min() < 0 or ix.max() >= nx or iy.min() < 0 or iy.max() >= ny):
+        raise ValueError("cell outside the root box")
+    codes = _cell_codes(root, level, ix, iy)
+    if weights is None:
+        return (*_cell_index(root, level, np.unique(codes)), None)
+    codes, inv = np.unique(codes, return_inverse=True)
+    return (*_cell_index(root, level, codes),
+            np.bincount(inv, weights=weights, minlength=codes.size))
+
+
+class AtomMeasure(_CellSet):
     """Weighted atoms on the dyadic grid of one root box at one resolution.
 
     Immutable after construction: atoms are merged per cell, sorted, and the
@@ -29,40 +61,20 @@ class AtomMeasure:
         self.resolution = float(resolution)
         self.level = level_for_resolution(root, self.resolution)
 
-        ix = np.asarray(ix, dtype=np.int64)
-        iy = np.asarray(iy, dtype=np.int64)
         w = np.asarray(weights, dtype=float)
-        if not (ix.shape == iy.shape == w.shape):
+        if not (np.shape(ix) == np.shape(iy) == w.shape):
             raise ValueError("atom arrays must have matching shapes")
         if w.size and w.min() <= 0.0:
             raise ValueError("atom weights must be positive")
-        nx, ny = grid_shape(root, self.level)
-        if ix.size and (ix.min() < 0 or ix.max() >= nx or iy.min() < 0 or iy.max() >= ny):
-            raise ValueError("atom cell outside the root box")
-
-        # merge duplicate cells, then sort by (ix, iy) for canonical order
-        code = ix * ny + iy
-        code_u, inv = np.unique(code, return_inverse=True)
-        w_u = np.bincount(inv, weights=w, minlength=code_u.size)
-        self.ix = (code_u // ny).astype(np.int64)
-        self.iy = (code_u % ny).astype(np.int64)
-        self.weights = w_u
+        self.ix, self.iy, self.weights = _canonical_cells(root, self.level,
+                                                          ix, iy, w)
         for a in (self.ix, self.iy, self.weights):
             a.flags.writeable = False
         self.total = float(self.weights.sum())
 
-    def __len__(self):
-        return self.ix.size
-
-    def centers(self):
-        (x0, _), (y0, _) = root_extent(self.root)
-        d = self.resolution
-        return np.column_stack([x0 + (self.ix + 0.5) * d,
-                                y0 + (self.iy + 0.5) * d])
-
-    def cells(self):
-        return [DyadicSquare(self.root, self.level, int(a), int(b))
-                for a, b in zip(self.ix, self.iy)]
+    @classmethod
+    def empty(cls, resolution):
+        return cls(resolution, [], [], [])
 
     def scaled(self, c):
         if c <= 0:
@@ -77,18 +89,10 @@ class PlanarAtomMeasure(AtomMeasure):
     def __init__(self, resolution, ix, iy, weights):
         super().__init__(PLANE, resolution, ix, iy, weights)
 
-    @classmethod
-    def empty(cls, resolution):
-        return cls(resolution, [], [], [])
-
 
 class LineParamMeasure(AtomMeasure):
     def __init__(self, resolution, ix, iy, weights):
         super().__init__(LINESPACE, resolution, ix, iy, weights)
-
-    @classmethod
-    def empty(cls, resolution):
-        return cls(resolution, [], [], [])
 
     def line_params(self):
         """(theta, r) cell centers as two arrays."""
@@ -101,7 +105,7 @@ def _measure_class(root):
 
 
 @dataclass(frozen=True)
-class PointSet:
+class PointSet(_CellSet):
     """Finite set of dyadic cells at one resolution (a discretized set)."""
 
     root: str
@@ -111,28 +115,27 @@ class PointSet:
 
     def __post_init__(self):
         level = level_for_resolution(self.root, self.resolution)
-        ix = np.asarray(self.ix, dtype=np.int64)
-        iy = np.asarray(self.iy, dtype=np.int64)
-        nx, ny = grid_shape(self.root, level)
-        if ix.size and (ix.min() < 0 or ix.max() >= nx or iy.min() < 0 or iy.max() >= ny):
-            raise ValueError("cell outside the root box")
-        code = np.unique(ix * ny + iy)
-        object.__setattr__(self, "ix", (code // ny).astype(np.int64))
-        object.__setattr__(self, "iy", (code % ny).astype(np.int64))
+        ix, iy, _ = _canonical_cells(self.root, level, self.ix, self.iy)
+        object.__setattr__(self, "ix", ix)
+        object.__setattr__(self, "iy", iy)
         object.__setattr__(self, "level", level)
 
-    def __len__(self):
-        return self.ix.size
 
-    def centers(self):
-        (x0, _), (y0, _) = root_extent(self.root)
-        d = self.resolution
-        return np.column_stack([x0 + (self.ix + 0.5) * d,
-                                y0 + (self.iy + 0.5) * d])
+def _dyadic_levels(cells, weights=None):
+    """Per dyadic level, from the cells' own level up to the root.
 
-    def cells(self):
-        return [DyadicSquare(self.root, self.level, int(a), int(b))
-                for a, b in zip(self.ix, self.iy)]
+    Yields (level, codes, values): the sorted codes of the occupied
+    level-`level` squares and, per square, the number of cells it holds or,
+    with `weights` (one per cell), their total weight.
+    """
+    for level in range(cells.level, -1, -1):
+        code = _cell_codes(cells.root, cells.level, cells.ix, cells.iy,
+                           cells.level - level)
+        if weights is None:
+            yield (level, *np.unique(code, return_counts=True))
+        else:
+            codes, inv = np.unique(code, return_inverse=True)
+            yield level, codes, np.bincount(inv, weights=weights)
 
 
 def frostman_constant(m, s):
@@ -144,16 +147,8 @@ def frostman_constant(m, s):
         raise ValueError("exponent s must lie in (0, 2]")
     if len(m) == 0 or m.total <= 0.0:
         raise ValueError("empty measure")
-    best = 0.0
-    ix, iy, w = m.ix, m.iy, m.weights
-    for level in range(m.level, -1, -1):
-        shift = m.level - level
-        _, ny = grid_shape(m.root, level)
-        code = (ix >> shift) * ny + (iy >> shift)
-        _, inv = np.unique(code, return_inverse=True)
-        masses = np.bincount(inv, weights=w)
-        best = max(best, masses.max() / side_at_level(m.root, level) ** s)
-    return best
+    return max(masses.max() / side_at_level(m.root, level) ** s
+               for level, _, masses in _dyadic_levels(m, m.weights))
 
 
 def _pair_energy_direct(pts, w, s, trunc):
@@ -222,9 +217,8 @@ def covering_number(P, rho):
     level = level_for_resolution(P.root, rho)
     if level > P.level:
         raise ValueError("rho must be a dyadic multiple of the resolution")
-    shift = P.level - level
-    _, ny = grid_shape(P.root, level)
-    return int(np.unique((P.ix >> shift) * ny + (P.iy >> shift)).size)
+    return int(np.unique(_cell_codes(P.root, P.level, P.ix, P.iy,
+                                     P.level - level)).size)
 
 
 def radial_projection_covering(q, P):

@@ -14,36 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .content import dyadic_content, smallest_delta_s_constant
-from .geometry import LINESPACE, PLANE, grid_shape, level_for_resolution
+from .geometry import (LINESPACE, PLANE, _cell_codes, _cell_index, grid_shape,
+                       level_for_resolution, projection_range)
 from .measures import (PointSet, generate_cantor_measure,
                        radial_projection_covering)
 
 E_WINDOW = (-0.875, -0.625, -0.125, 0.125)
 F_WINDOW = (0.625, 0.875, -0.125, 0.125)
-
-
-def _projection_range_many(px, py, theta_lo, theta_hi):
-    """Exact per-point range of theta -> p . e_theta over [theta_lo, theta_hi]."""
-    rad = np.hypot(px, py)
-    phi = np.arctan2(py, px) / (2.0 * math.pi)
-    a = theta_lo - phi
-    b = theta_hi - phi
-    va = rad * np.cos(2.0 * math.pi * a)
-    vb = rad * np.cos(2.0 * math.pi * b)
-    lo = np.minimum(va, vb)
-    hi = np.maximum(va, vb)
-    # critical angles where the projection reaches +-|p|
-    k_first = np.ceil(2.0 * a)
-    has_max = (k_first <= 2.0 * b) & (np.mod(k_first, 2) == 0)
-    k_odd = np.where(np.mod(k_first, 2) == 0, k_first + 1, k_first)
-    has_min = k_odd <= 2.0 * b
-    hi = np.where(has_max, rad, hi)
-    lo = np.where(has_min, -rad, lo)
-    # either parity may appear first; check the next integer as well
-    k_second = k_first + 1
-    has_max2 = (k_second <= 2.0 * b) & (np.mod(k_second, 2) == 0)
-    hi = np.where(has_max2, rad, hi)
-    return lo, hi
 
 
 def _direction_cantor(s, steps, rng):
@@ -104,7 +81,6 @@ def build_furstenberg(s, t, delta, seed):
     mu = generate_cantor_measure(t, delta, seed)
     steps = level - 1  # direction intervals of width delta inside [1/4, 3/4)
 
-    _, ny = grid_shape(LINESPACE, level)
     pts = mu.centers()
     tube_cells = {}
     for k in range(len(mu)):
@@ -115,8 +91,8 @@ def build_furstenberg(s, t, delta, seed):
             + pts[k, 1] * np.sin(2.0 * math.pi * thetas)
         tix = np.floor(thetas / delta).astype(np.int64)
         tiy = np.floor((rs + 2.0) / delta).astype(np.int64)
-        code = np.unique(tix * ny + tiy)
-        tube_cells[key] = (code // ny, code % ny)
+        code = np.unique(_cell_codes(LINESPACE, level, tix, tiy))
+        tube_cells[key] = _cell_index(LINESPACE, level, code)
 
     cfg = FurstenbergConfig(mu, tube_cells, s, t, delta, seed)
     _verify_furstenberg(cfg)
@@ -169,16 +145,9 @@ def _column_ranges(pts, level):
 
     Returns (lo, hi) arrays of shape (n_columns, n_points).
     """
-    ncol = 2 ** level
+    cols = np.arange(2 ** level)[:, None]
     delta = 2.0 ** (-level)
-    lows = np.empty((ncol, pts.shape[0]))
-    highs = np.empty((ncol, pts.shape[0]))
-    for c in range(ncol):
-        lo, hi = _projection_range_many(pts[:, 0], pts[:, 1],
-                                        c * delta, (c + 1) * delta)
-        lows[c] = lo
-        highs[c] = hi
-    return lows, highs
+    return projection_range(pts, cols * delta, (cols + 1) * delta)
 
 
 def build_slicing(s, t, tau, delta, seed):
@@ -200,8 +169,7 @@ def build_slicing(s, t, tau, delta, seed):
     mu = generate_cantor_measure(t, delta, [seed, 1], window=F_WINDOW)
 
     level = level_for_resolution(LINESPACE, delta)
-    _, ny = grid_shape(LINESPACE, level)
-    ncol = 2 ** level
+    ncol, ny = grid_shape(LINESPACE, level)
 
     fpts = mu.centers()
     corners = np.array([[F_WINDOW[0], F_WINDOW[2]], [F_WINDOW[0], F_WINDOW[3]],
@@ -217,9 +185,8 @@ def build_slicing(s, t, tau, delta, seed):
     masses = []
     for k in range(len(nu)):
         key = (int(nu.ix[k]), int(nu.iy[k]))
-        x_lo, x_hi = _projection_range_many(
-            np.array([epts[k, 0]]), np.array([epts[k, 1]]),
-            np.arange(ncol) * delta, (np.arange(ncol) + 1) * delta)
+        x_lo, x_hi = projection_range(epts[k], np.arange(ncol) * delta,
+                                      (np.arange(ncol) + 1) * delta)
         cix, ciy = [], []
         col_cells = {}
         for c in range(ncol):
@@ -270,8 +237,7 @@ def tube_cell_members(cfg, tube_cell, slack=None):
         slack = 2.0 * delta
     c, kcell = tube_cell
     fpts = cfg.mu.centers()
-    lo, hi = _projection_range_many(fpts[:, 0], fpts[:, 1],
-                                    c * delta, (c + 1) * delta)
+    lo, hi = projection_range(fpts, c * delta, (c + 1) * delta)
     r_lo = kcell * delta - 2.0 - slack
     r_hi = (kcell + 1) * delta - 2.0 + slack
     hit = (lo <= r_hi) & (hi >= r_lo)

@@ -206,13 +206,6 @@ def mixed_fourier(f):
     return SpectrumCylinder(spec, modes, rhos, 0.25)
 
 
-def spectrum_lookup(spec, n, rho):
-    """Coefficient at integer mode n and bin frequency rho."""
-    i = int(np.where(spec.modes == n)[0][0])
-    j = int(np.argmin(np.abs(spec.rhos - rho)))
-    return spec.values[i, j]
-
-
 def _zero_bin_average_1d(s, width):
     # mean of |rho|^(2s) over the centered bin of the given width
     if 2 * s + 1 <= 0:

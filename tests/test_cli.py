@@ -1,4 +1,5 @@
 import json
+import re
 
 from inclab import cli
 
@@ -43,10 +44,23 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert summary["t"] == 1.7
 
 
-def test_bad_config_key(tmp_path):
+def test_bad_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"frobnicate": 1}))
-    assert cli.main(["energy", "--config", str(cfg)]) == 2
+    out = tmp_path / "out"
+    # unknown keys and values their flag would reject exit 2, naming the key
+    for blob in ({"frobnicate": 1}, {"t": "abc"}, {"seed": 1.5},
+                 {"format": "xml"}, {"help": True}):
+        cfg.write_text(json.dumps(blob))
+        assert cli.main(["energy", "--config", str(cfg), "--out", str(out)]) == 2
+        key = list(blob)[0]
+        assert re.search(rf"config key:? {key}\b", capsys.readouterr().err)
+        assert not out.exists()
+    # accepted values are converted as the flag converts them
+    cfg.write_text(json.dumps({"t": "1.5"}))
+    parser = cli.build_parser()
+    args = cli._apply_config(parser.parse_args(["energy", "--config", str(cfg)]),
+                             parser)
+    assert args.t == 1.5
 
 
 def test_format_flag(tmp_path):
@@ -57,11 +71,15 @@ def test_format_flag(tmp_path):
     assert not (tmp_path / "incidence_sweep_summary.json").exists()
 
 
-def test_invalid_parameter_exit_2(tmp_path):
+def test_invalid_parameter_exit_2(tmp_path, capsys):
     # precondition violations surface as invalid configuration
     code = cli.main(["incidence-sweep", "--t", "2.5", "--deltas", "2^-5",
                      "--out", str(tmp_path)])
     assert code == 2
+    # the range of t is checked before any window is chosen
+    code = cli.main(["incidence-sweep", "--t", "3", "--out", str(tmp_path)])
+    assert code == 2
+    assert "exponent t must lie in (1, 2)" in capsys.readouterr().err
 
 
 def test_empty_measure_exit_2(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,24 @@ def test_content_against_enumeration_oracle():
         dp = dyadic_content(P, s, max_levels_up=4)
         assert dp.value == pytest.approx(oracle, rel=1e-9)
         done += 1
+
+
+def test_enumeration_cap_checked_before_building_product():
+    # under one top square, an 8x8 block has 83522 covers and a 4x4 block
+    # 18; their product alone is far over the cap, so it must not be built
+    ii, jj = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
+    kk, ll = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+    P = PointSet(PLANE, 2.0 ** -6,
+                 np.concatenate([128 + ii.ravel(), 136 + kk.ravel()]),
+                 np.concatenate([128 + jj.ravel(), 128 + ll.ravel()]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="cap exceeded"):
+            enumerate_cover_min(P, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_content_against_lp_oracle():

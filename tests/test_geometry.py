@@ -66,6 +66,21 @@ def test_projection_range_matches_dense_sampling():
         # and tight: endpoints/extrema realize the bounds
         assert proj.min() - lo < 1e-4 + (hi - lo) * 1e-3
         assert hi - proj.max() < 1e-4 + (hi - lo) * 1e-3
+    # array form: many points and intervals of up to 1.5 revolutions in one
+    # call, the first point at the origin
+    p = rng.uniform(-2, 2, (300, 2))
+    p[0] = 0.0
+    a = rng.uniform(0, 1, 300)
+    b = a + rng.uniform(1e-4, 1.5, 300)
+    lo, hi = projection_range(p, a, b)
+    ts = np.linspace(a, b, 4001)
+    proj = p[:, 0] * np.cos(2 * math.pi * ts) + p[:, 1] * np.sin(2 * math.pi * ts)
+    assert np.all(lo <= proj.min(axis=0) + 1e-12)
+    assert np.all(hi >= proj.max(axis=0) - 1e-12)
+    assert np.all(proj.min(axis=0) - lo < 1e-4 + (hi - lo) * 1e-3)
+    assert np.all(hi - proj.max(axis=0) < 1e-4 + (hi - lo) * 1e-3)
+    assert lo[0] == hi[0] == 0.0
+    assert projection_range((0.0, 0.0), 0.1, 0.7) == (0.0, 0.0)
 
 
 def test_dyadic_tube_contains_origin():

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from inclab.geometry import PLANE
+from inclab.content import smallest_delta_s_constant, smallest_katz_tao_constant
+from inclab.geometry import LINESPACE, PLANE, grid_shape, side_at_level
 from inclab.measures import (LineParamMeasure, PlanarAtomMeasure, PointSet,
                              covering_number, frostman_constant,
                              generate_cantor_measure, generate_line_measure,
@@ -237,3 +240,48 @@ def test_measure_rejects_bad_atoms():
         PlanarAtomMeasure(2.0 ** -4, [0], [0], [0.0])
     with pytest.raises(ValueError):
         PlanarAtomMeasure(2.0 ** -4, [9999], [0], [1.0])
+
+
+@st.composite
+def weighted_cells(draw):
+    """A small random measure on either root, at a random level."""
+    root = draw(st.sampled_from([PLANE, LINESPACE]))
+    level = draw(st.integers(0, 6))
+    nx, ny = grid_shape(root, level)
+    cells = draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1)),
+                          min_size=1, max_size=40))
+    weights = draw(st.lists(st.floats(0.01, 10.0), min_size=len(cells),
+                            max_size=len(cells)))
+    measure = PlanarAtomMeasure if root == PLANE else LineParamMeasure
+    return measure(side_at_level(root, level), [c[0] for c in cells],
+                   [c[1] for c in cells], weights)
+
+
+def ancestor_tallies(m):
+    """{(level, ix, iy): [cell count, mass]} over every dyadic ancestor of every cell.
+
+    Masses add up the cells in their stored order, as a per-level bincount does.
+    """
+    tallies = {}
+    for a, b, w in zip(m.ix.tolist(), m.iy.tolist(), m.weights.tolist()):
+        for up in range(m.level + 1):
+            t = tallies.setdefault((m.level - up, a >> up, b >> up), [0, 0.0])
+            t[0] += 1
+            t[1] += w
+    return tallies
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_cells(), st.floats(0.05, 2.0))
+def test_level_reductions_match_brute_force(m, s):
+    P = m.support()
+    tallies = ancestor_tallies(m)
+    side = {lev: side_at_level(m.root, lev) for lev in range(m.level + 1)}
+    assert frostman_constant(m, s) == max(
+        mass / side[lev] ** s for (lev, _, _), (_, mass) in tallies.items())
+    assert smallest_katz_tao_constant(P, s) == max(
+        n / 2.0 ** ((m.level - lev) * s) for (lev, _, _), (n, _) in tallies.items())
+    assert smallest_delta_s_constant(P, s) == max(
+        n / (side[lev] ** s * len(P)) for (lev, _, _), (n, _) in tallies.items())
+    for lev in range(m.level + 1):
+        assert covering_number(P, side[lev]) == sum(1 for key in tallies if key[0] == lev)
