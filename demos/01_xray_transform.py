@@ -45,11 +45,13 @@ print(f"  <f, Rg>  = {rhs:.10f}")
 
 print("\n== half-order smoothing: norm-gain ratios ==")
 chi = canonical_cutoff(n)
-for s in (-0.5, -0.25, 0.0, 0.25, 0.5):
-    ratios = []
-    for w in (0.08, 0.15, 0.25):
-        g = PlanarGrid.from_function(
-            n, lambda X, Y: np.exp(-((X - 0.2) ** 2 + Y ** 2) / (2 * w * w)))
-        ratios.append(smoothing_ratio(g, s, chi))
+s_values = (-0.5, -0.25, 0.0, 0.25, 0.5)
+by_width = []
+for w in (0.08, 0.15, 0.25):
+    g = PlanarGrid.from_function(
+        n, lambda X, Y: np.exp(-((X - 0.2) ** 2 + Y ** 2) / (2 * w * w)))
+    by_width.append(smoothing_ratio(g, s_values, chi))
+for k, s in enumerate(s_values):
+    ratios = [r[k] for r in by_width]
     print(f"  s = {s:+.2f}: gain ratios {['%.3f' % v for v in ratios]}")
 print("  (bounded ratios across widths witness the smoothing estimate)")

@@ -21,6 +21,7 @@ from .geometry import PLANE
 from .measures import PointSet
 
 FORMATS = ("csv", "json", "both")
+MAX_GRID_N = 512  # the desk grid side; transforms cost O(n^3)
 
 
 def _parse_deltas(text):
@@ -236,6 +237,8 @@ def _apply_config(args, parser):
         args.threads = int(os.environ.get("INCLAB_THREADS", "1"))
     if args.n is None:
         args.n = 512 if args.command == "xray-check" else 256
+    if not 16 <= args.n <= MAX_GRID_N or args.n & (args.n - 1):
+        raise ValueError(f"--n must be a power of two from 16 to {MAX_GRID_N}")
     if args.command == "incidence-sweep" and args.t is None:
         args.t = 1.5
     return args

@@ -145,14 +145,13 @@ def exp_smoothing(seed=0, n=256, n_bumps=40,
         w = rng.uniform(0.05, 0.3)
         bumps.append(_gaussian_bump(n, [c], [w], [1.0]))
 
+    by_bump = [sp.smoothing_ratio(g, s_values, chi) for g in bumps]
     rows = []
     per_s = {}
-    for s in s_values:
-        ratios = []
-        for b, g in enumerate(bumps):
-            ratio = sp.smoothing_ratio(g, s, chi)
-            ratios.append(ratio)
-            rows.append({"s": s, "bump": b, "ratio": ratio})
+    for k, s in enumerate(s_values):
+        ratios = [r[k] for r in by_bump]
+        rows.extend({"s": s, "bump": b, "ratio": ratio}
+                    for b, ratio in enumerate(ratios))
         per_s[s] = (min(ratios), max(ratios))
     summary = {
         "band": {str(s): {"min": per_s[s][0], "max": per_s[s][1],

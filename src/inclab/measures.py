@@ -289,6 +289,18 @@ def _window_squares(root, window):
     return out
 
 
+# the largest measure a test, demo or desk experiment builds has 36,864
+# atoms (exp_energy, dimension 1.9 at resolution 2^-8)
+MAX_GENERATED_ATOMS = 100_000
+
+
+def _check_atom_count(atoms):
+    # called with the final atom count, before any per-atom array exists
+    if atoms > MAX_GENERATED_ATOMS:
+        raise ValueError(f"the measure would have {atoms} atoms, above "
+                         f"MAX_GENERATED_ATOMS = {MAX_GENERATED_ATOMS}")
+
+
 def _generate_measure(root, s, delta, seed, window, style):
     if not (0.0 < s <= 2.0):
         raise ValueError("infeasible dimension s (need 0 < s <= 2)")
@@ -306,6 +318,7 @@ def _generate_measure(root, s, delta, seed, window, style):
             raise ValueError("four_corner style is the dimension-1 construction")
         if steps % 2:
             raise ValueError("four_corner style needs an even number of levels")
+        _check_atom_count(len(squares) * 4 ** (steps // 2))
         px = np.zeros_like(ix)
         py = np.zeros_like(iy)
         for j in range(1, steps + 1):
@@ -319,8 +332,9 @@ def _generate_measure(root, s, delta, seed, window, style):
                 ix = 2 * ix + px
                 iy = 2 * iy + py
     else:
-        rng = np.random.default_rng(seed)
         counts = _child_count_sequence(s, steps, 4)
+        _check_atom_count(len(squares) * math.prod(counts))
+        rng = np.random.default_rng(seed)
         off = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
         for mj in counts:
             n = ix.size

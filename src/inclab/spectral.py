@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, ndimage
+from scipy import integrate
 
 from .geometry import level_for_resolution
 
@@ -128,6 +128,11 @@ def xray(g, n_theta=None, n_r=None):
     Marches along each line with step equal to the grid spacing, reading g
     by bilinear interpolation (zero outside the box); exact in total weight
     for constants.  Requires g real with support inside B(1.5).
+
+    The interpolation gathers the four corner cells of every sample point
+    from a zero-padded copy of the grid, with the arithmetic of
+    `scipy.ndimage.map_coordinates(order=1, mode="constant")`, so the
+    result equals that reference bit for bit.
     """
     if np.iscomplexobj(g.values):
         raise ValueError("xray input must be real")
@@ -145,7 +150,13 @@ def xray(g, n_theta=None, n_r=None):
     active = np.abs(rs) <= _MARCH_MAX
     ra = rs[active]
     out = np.zeros((n_theta, n_r))
-    vals = g.values
+    # rows n, n + 1 and column n are zero; a point off the grid reads the
+    # 2 x 2 zero block at (n, 0), since a zero weight on a negative value
+    # would leave -0.0 where the reference has 0.0
+    stride = n + 1
+    padded = np.zeros((n + 2, stride))
+    padded[:n, :n] = g.values
+    flat = padded.ravel()
     for i in range(n_theta):
         a = 2.0 * math.pi * (i / n_theta)
         c, s = math.cos(a), math.sin(a)
@@ -153,9 +164,18 @@ def xray(g, n_theta=None, n_r=None):
         py = ra[:, None] * s - u[None, :] * c
         ci = (px + 2.0) / h - 0.5
         cj = (py + 2.0) / h - 0.5
-        line = ndimage.map_coordinates(vals, [ci.ravel(), cj.ravel()],
-                                       order=1, mode="constant", cval=0.0)
-        out[i, active] = line.reshape(ra.size, m).sum(axis=1) * h
+        fi = np.floor(ci)
+        fj = np.floor(cj)
+        wx0 = 1.0 - (ci - fi)
+        wx1 = 1.0 - wx0
+        wy0 = 1.0 - (cj - fj)
+        wy1 = 1.0 - wy0
+        k = fi.astype(np.intp) * stride + fj.astype(np.intp)
+        k[(ci < 0) | (ci > n - 1) | (cj < 0) | (cj > n - 1)] = n * stride
+        line = (((flat[k] * wx0) * wy0) + ((flat[k + 1] * wx0) * wy1)
+                + ((flat[k + stride] * wx1) * wy0)
+                + ((flat[k + stride + 1] * wx1) * wy1))
+        out[i, active] = line.sum(axis=1) * h
     return CylinderGrid(out)
 
 
@@ -456,19 +476,21 @@ def canonical_cutoff(n):
     return PlanarGrid.from_function(n, profile)
 
 
-def smoothing_ratio(g, s, chi):
-    """Sobolev norm gain of the transform: |R(g chi)|_{s+1/2} / |g|_s.
+def smoothing_ratio(g, s_values, chi):
+    """Sobolev norm gains of the transform, one per s in s_values:
+    |R(g chi)|_{s+1/2} / |g|_s.
 
     chi must be the smooth cutoff (1 on B(1), supported in B(1.5)); the
-    ratio is of norms, not squared norms.
+    ratios are of norms, not squared norms.  R(g chi) does not depend on s,
+    so it is computed once for all of them.
     """
-    if not (-0.5 <= s <= 0.5):
+    if not all(-0.5 <= s <= 0.5 for s in s_values):
         raise ValueError("exponent s must lie in [-1/2, 1/2]")
     if g.n != chi.n:
         raise ValueError("cutoff grid size must match the input")
-    den = sobolev_norm_plane(g, s)
-    if den == 0.0:
+    dens = [sobolev_norm_plane(g, s) for s in s_values]
+    if 0.0 in dens:
         raise ValueError("zero denominator: input has vanishing Sobolev norm")
-    product = PlanarGrid(g.values * chi.values)
-    num = sobolev_norm_cylinder(xray(product), s + 0.5)
-    return num / den
+    transform = xray(PlanarGrid(g.values * chi.values))
+    return [sobolev_norm_cylinder(transform, s + 0.5) / den
+            for s, den in zip(s_values, dens)]

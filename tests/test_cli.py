@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 from inclab import cli
 
@@ -80,6 +81,23 @@ def test_invalid_parameter_exit_2(tmp_path, capsys):
     code = cli.main(["incidence-sweep", "--t", "3", "--out", str(tmp_path)])
     assert code == 2
     assert "exponent t must lie in (1, 2)" in capsys.readouterr().err
+    # the grid side is checked before any grid is built
+    for command, n in (("xray-check", "4096"), ("smoothing", "4096"),
+                       ("smoothing", "100"), ("xray-check", "8")):
+        code = cli.main([command, "--n", n, "--out", str(tmp_path)])
+        assert code == 2
+        assert "--n must be a power of two from 16 to 512" in \
+            capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_generator_atom_cap_exit_2(tmp_path, capsys):
+    start = time.perf_counter()
+    code = cli.main(["radial", "--deltas", "2^-40", "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert "MAX_GENERATED_ATOMS" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_empty_measure_exit_2(tmp_path, monkeypatch):

@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.integrate import quad
 
 from inclab.measures import PlanarAtomMeasure, generate_cantor_measure
-from inclab.spectral import (CylinderGrid, PlanarGrid, adjoint_xray,
+from inclab.spectral import (_MARCH_MAX, CylinderGrid, PlanarGrid, adjoint_xray,
                              canonical_cutoff, cylinder_inner, mixed_fourier,
                              plane_inner, riesz_energy_fourier, riesz_gamma,
                              slice_identity_residual, smoothing_ratio,
@@ -42,6 +45,73 @@ def random_smooth_pair(rng, n):
                                                + rng.uniform(0, 2 * math.pi)) \
             * np.exp(-((R - c) ** 2) / (2 * w * w))
     return CylinderGrid(vals), g
+
+
+def xray_oracle(g, n_theta):
+    """The transform by ndimage.map_coordinates, one angle at a time."""
+    n, h = g.n, g.h
+    rs = -2.0 + (np.arange(n) + 0.5) * h
+    m = int(math.ceil(2.0 * _MARCH_MAX / h))
+    u = (np.arange(m) - 0.5 * (m - 1)) * h
+    active = np.abs(rs) <= _MARCH_MAX
+    ra = rs[active]
+    out = np.zeros((n_theta, n))
+    for i in range(n_theta):
+        a = 2.0 * math.pi * (i / n_theta)
+        c, s = math.cos(a), math.sin(a)
+        ci = (ra[:, None] * c + u[None, :] * s + 2.0) / h - 0.5
+        cj = (ra[:, None] * s - u[None, :] * c + 2.0) / h - 0.5
+        line = ndimage.map_coordinates(g.values, [ci.ravel(), cj.ravel()],
+                                       order=1, mode="constant", cval=0.0)
+        out[i, active] = line.reshape(ra.size, m).sum(axis=1) * h
+    return out
+
+
+def random_bumps(rng, n):
+    """Three Gaussian bumps with signed amplitudes, inside B(1.5)."""
+    def f(X, Y):
+        out = np.zeros_like(X)
+        for _ in range(3):
+            cx, cy = rng.uniform(-0.5, 0.5, 2)
+            w = rng.uniform(0.05, 0.15)
+            amp = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+            out += amp * np.exp(
+                -((X - cx) ** 2 + (Y - cy) ** 2) / (2 * w * w))
+        return out
+    return PlanarGrid.from_function(n, f)
+
+
+def assert_bits_equal(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_xray_matches_map_coordinates_oracle(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        g = random_bumps(rng, n)
+        assert_bits_equal(xray(g).values[:n // 2], xray_oracle(g, n)[:n // 2])
+
+
+def test_xray_odd_angle_count_matches_oracle():
+    g = random_bumps(np.random.default_rng(7), 32)
+    for n_theta in (1, 31):
+        assert_bits_equal(xray(g, n_theta=n_theta).values,
+                          xray_oracle(g, n_theta))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.floats(-10.0, 10.0, allow_subnormal=False),
+       st.floats(-10.0, 10.0, allow_subnormal=False))
+def test_xray_is_linear(seed, a, b):
+    rng = np.random.default_rng(seed)
+    g1, g2 = random_bumps(rng, 32), random_bumps(rng, 32)
+    R1, R2 = xray(g1).values, xray(g2).values
+    combo = xray(PlanarGrid(a * g1.values + b * g2.values)).values
+    scale = np.abs(a * R1).max() + np.abs(b * R2).max()
+    assert np.abs(combo - (a * R1 + b * R2)).max() <= 1e-12 * scale
 
 
 def test_xray_ball_chord():
@@ -264,7 +334,7 @@ def test_smoothing_ratio_endpoint_and_sweep():
     n = 256
     chi = canonical_cutoff(n)
     g = gaussian_grid(n)
-    base = smoothing_ratio(g, -0.5, chi)
+    [base] = smoothing_ratio(g, (-0.5,), chi)
     assert 0.0 < base < math.inf
 
     rng = np.random.default_rng(6)
@@ -278,7 +348,7 @@ def test_smoothing_ratio_endpoint_and_sweep():
             g = PlanarGrid.from_function(
                 n, lambda X, Y: np.exp(-((X - c[0]) ** 2 + (Y - c[1]) ** 2)
                                        / (2 * w * w)))
-            ratios.append(smoothing_ratio(g, s, chi))
+            ratios.extend(smoothing_ratio(g, (s,), chi))
         assert max(ratios) / min(ratios) <= 50.0
 
 
@@ -289,7 +359,7 @@ def test_smoothing_ratio_rescaled_band():
     for lam in (1.0, 2.0, 4.0):
         g = PlanarGrid.from_function(
             n, lambda X, Y: np.exp(-np.pi * lam ** 2 * (X ** 2 + Y ** 2)))
-        ratios.append(smoothing_ratio(g, 0.25, chi))
+        ratios.extend(smoothing_ratio(g, (0.25,), chi))
     assert max(ratios) / min(ratios) <= 8.0
 
 
@@ -297,7 +367,19 @@ def test_smoothing_zero_denominator():
     n = 64
     chi = canonical_cutoff(n)
     with pytest.raises(ValueError, match="zero denominator"):
-        smoothing_ratio(PlanarGrid(np.zeros((n, n))), 0.0, chi)
+        smoothing_ratio(PlanarGrid(np.zeros((n, n))), (0.0,), chi)
+
+
+def test_smoothing_ratio_shares_one_transform_across_s():
+    n = 64
+    chi = canonical_cutoff(n)
+    g = random_bumps(np.random.default_rng(8), n)
+    s_values = (-0.5, -0.25, 0.0, 0.25, 0.5)
+    transform = xray(PlanarGrid(g.values * chi.values))
+    expect = [sobolev_norm_cylinder(transform, s + 0.5) / sobolev_norm_plane(g, s)
+              for s in s_values]
+    assert_bits_equal(np.array(smoothing_ratio(g, s_values, chi)),
+                      np.array(expect))
 
 
 def test_grid_serialization_round_trip():
