@@ -11,6 +11,12 @@ spacing.  Matching first-order interpolation on both the transform and the
 adjoint makes their quadrature biases cancel in the duality pairing (the
 observed gap decays like h^3), which is what the tight adjoint tolerance
 relies on; higher-order schemes break the cancellation and do worse.
+
+`xray` gathers the interpolation corners with numpy, bit for bit as
+`scipy.ndimage.map_coordinates` would, and marches only the angles in
+[0, 1/2) when their count is even: the other half is the mirror image
+Rg(theta + 1/2, r) = Rg(theta, -r).  `smoothing_ratio` computes one
+transform per input for all the Sobolev exponents it is asked for.
 """
 
 import math
@@ -132,7 +138,10 @@ def xray(g, n_theta=None, n_r=None):
     The interpolation gathers the four corner cells of every sample point
     from a zero-padded copy of the grid, with the arithmetic of
     `scipy.ndimage.map_coordinates(order=1, mode="constant")`, so the
-    result equals that reference bit for bit.
+    marched rows equal that reference bit for bit.  For an even n_theta
+    only the angles in [0, 1/2) are marched; row i + n_theta/2 is row i
+    reversed, since Rg(theta + 1/2, r) = Rg(theta, -r) and the r grid is
+    symmetric about 0.
     """
     if np.iscomplexobj(g.values):
         raise ValueError("xray input must be real")
@@ -157,7 +166,8 @@ def xray(g, n_theta=None, n_r=None):
     padded = np.zeros((n + 2, stride))
     padded[:n, :n] = g.values
     flat = padded.ravel()
-    for i in range(n_theta):
+    marched = n_theta // 2 if n_theta % 2 == 0 else n_theta
+    for i in range(marched):
         a = 2.0 * math.pi * (i / n_theta)
         c, s = math.cos(a), math.sin(a)
         px = ra[:, None] * c + u[None, :] * s
@@ -176,6 +186,7 @@ def xray(g, n_theta=None, n_r=None):
                 + ((flat[k + stride] * wx1) * wy0)
                 + ((flat[k + stride + 1] * wx1) * wy1))
         out[i, active] = line.sum(axis=1) * h
+    out[marched:] = out[:n_theta - marched, ::-1]
     return CylinderGrid(out)
 
 

@@ -94,6 +94,12 @@ def test_xray_matches_map_coordinates_oracle(n):
         assert_bits_equal(xray(g).values[:n // 2], xray_oracle(g, n)[:n // 2])
 
 
+def test_xray_half_turn_mirror_is_exact():
+    n = 64
+    R = xray(random_bumps(np.random.default_rng(9), n)).values
+    assert_bits_equal(R[n // 2:], R[:n // 2, ::-1])
+
+
 def test_xray_odd_angle_count_matches_oracle():
     g = random_bumps(np.random.default_rng(7), 32)
     for n_theta in (1, 31):
