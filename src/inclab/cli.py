@@ -37,7 +37,7 @@ def _parse_deltas(text):
             out.append(float(tok))
     if not out or any(d <= 0 for d in out):
         raise ValueError(f"bad delta list: {text!r}")
-    return out
+    return tuple(out)
 
 
 def _rows_to_csv(rows):
@@ -104,10 +104,16 @@ def cmd_content(args):
     return fixture_rows + rows, summary
 
 
+def _given(**params):
+    """The keyword arguments that are not None: a flag the user left unset
+    is not passed on, so the experiment's own default holds."""
+    return {k: v for k, v in params.items() if v is not None}
+
+
 def cmd_incidence_sweep(args):
-    deltas = args.deltas or ex.DESK_DELTAS
     rows, summary = ex.exp_incidence_sweep(
-        seed=args.seed, t_values=(args.t,), n_seeds=1, deltas=deltas)
+        seed=args.seed, t_values=(1.5 if args.t is None else args.t,),
+        n_seeds=1, **_given(deltas=args.deltas))
     flat = summary["fixtures"][0]
     flat["pass"] = summary["pass"]
     return rows, flat
@@ -118,32 +124,30 @@ def cmd_energy(args):
 
 
 def cmd_xray_check(args):
-    return ex.exp_xray_check(seed=args.seed, n=args.n)
+    return ex.exp_xray_check(seed=args.seed, **_given(n=args.n))
 
 
 def cmd_smoothing(args):
-    return ex.exp_smoothing(seed=args.seed, n=args.n)
+    return ex.exp_smoothing(seed=args.seed, **_given(n=args.n))
 
 
 def cmd_furstenberg(args):
-    fixtures = ((args.s, args.t),) if args.s and args.t else \
-        ((0.5, 1.6), (0.8, 1.4), (1.0, 1.2))
-    deltas = tuple(args.deltas) if args.deltas else \
-        (2.0 ** -5, 2.0 ** -6, 2.0 ** -7, 2.0 ** -8)
-    return ex.exp_furstenberg(seed=args.seed, fixtures=fixtures, deltas=deltas)
+    if (args.s is None) != (args.t is None):
+        raise ValueError("furstenberg needs --s and --t together, or none")
+    fixtures = None if args.s is None else ((args.s, args.t),)
+    return ex.exp_furstenberg(seed=args.seed, **_given(
+        fixtures=fixtures, deltas=args.deltas))
 
 
 def cmd_slicing(args):
-    deltas = tuple(args.deltas) if args.deltas else \
-        (2.0 ** -5, 2.0 ** -6, 2.0 ** -7, 2.0 ** -8)
-    return ex.exp_slicing(seed=args.seed, s=args.s or 0.6, t=args.t or 1.6,
-                          tau=args.tau, deltas=deltas)
+    return ex.exp_slicing(seed=args.seed, **_given(
+        s=args.s, t=args.t, tau=args.tau, deltas=args.deltas))
 
 
 def cmd_radial(args):
-    delta = args.deltas[0] if args.deltas else 2.0 ** -8
-    return ex.exp_radial(seed=args.seed, s=args.s or 0.8, t=args.t or 1.5,
-                         sigma=args.sigma, delta=delta)
+    delta = args.deltas[0] if args.deltas else None
+    return ex.exp_radial(seed=args.seed, **_given(
+        s=args.s, t=args.t, sigma=args.sigma, delta=delta))
 
 
 def cmd_verify(args):
@@ -196,8 +200,8 @@ def build_parser():
     p.add_argument("--format", choices=FORMATS, default="both")
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--s", type=float, default=None)
-    p.add_argument("--tau", type=float, default=1.3)
-    p.add_argument("--sigma", type=float, default=0.6)
+    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--scale", choices=("desk", "quick"), default="desk")
     return p
@@ -235,12 +239,9 @@ def _apply_config(args, parser):
         args.deltas = _parse_deltas(args.deltas)
     if args.threads is None:
         args.threads = int(os.environ.get("INCLAB_THREADS", "1"))
-    if args.n is None:
-        args.n = 512 if args.command == "xray-check" else 256
-    if not 16 <= args.n <= MAX_GRID_N or args.n & (args.n - 1):
+    if args.n is not None and (not 16 <= args.n <= MAX_GRID_N
+                               or args.n & (args.n - 1)):
         raise ValueError(f"--n must be a power of two from 16 to {MAX_GRID_N}")
-    if args.command == "incidence-sweep" and args.t is None:
-        args.t = 1.5
     return args
 
 

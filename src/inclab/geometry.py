@@ -94,7 +94,7 @@ def _cell_index(root, level, codes):
 
 def level_for_resolution(root, delta):
     """Level whose cells have side exactly delta (a power of two)."""
-    j = round(math.log2(1.0 / delta))
+    j = 1 - math.frexp(delta)[1]  # exact, also where 1 / delta overflows
     if not math.isclose(delta, 2.0 ** (-j), rel_tol=0.0, abs_tol=0.0):
         raise ValueError(f"resolution {delta} is not a power of two")
     level = j + 2 if root == PLANE else j
@@ -206,18 +206,17 @@ def projection_range(p, theta_lo, theta_hi):
     return lo, hi
 
 
-def dyadic_tube_contains(p, dt, slack=0.0):
+def dyadic_tube_contains(p, dt):
     """Whether some line with parameters in dt.square passes through p.
 
     Decided by the exact projection range over the square's theta-interval;
-    `slack` inflates the r-interval (used for membership tests of whole
-    delta-cells via their centers).  Tolerance 2^-40 * side absorbs roundoff.
+    tolerance 2^-40 * side absorbs roundoff.
     """
     sq = dt.square
     tlo, thi, rlo, rhi = sq.bounds
     lo, hi = projection_range(p, tlo, thi)
     tol = sq.side * 2.0 ** -40
-    return bool(lo <= rhi + slack + tol) and bool(hi >= rlo - slack - tol)
+    return bool(lo <= rhi + tol) and bool(hi >= rlo - tol)
 
 
 def dyadic_tube_hull(dt):

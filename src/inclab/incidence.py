@@ -212,7 +212,7 @@ def fit_slope(inv_deltas, values):
     return num / den if den else 0.0
 
 
-def inequality_sweep(mu, nu, t, deltas, method="bucketed"):
+def inequality_sweep(mu, nu, t, deltas):
     """Incidence-to-energy ratio across scales.
 
     For each delta computes the incidence mass, the (3-t)-energy of mu and
@@ -236,7 +236,7 @@ def inequality_sweep(mu, nu, t, deltas, method="bucketed"):
 
     rows = []
     for d in deltas:
-        inc = incidences(mu, nu, d, method=method).value
+        inc = incidences(mu, nu, d).value
         emu = riesz_energy_direct(mu, 3.0 - t, trunc=d)
         enu = riesz_energy_direct(nu, t, trunc=d)
         denom = d * math.sqrt(emu * enu)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (LINESPACE, PLANE, DyadicSquare, _cell_codes,
-                       _cell_index, dyadic_cover_of_box, grid_shape,
-                       level_for_resolution, root_extent, side_at_level)
+from .geometry import (LINESPACE, PLANE, _cell_codes, _cell_index,
+                       dyadic_cover_of_box, grid_shape, level_for_resolution,
+                       root_extent, side_at_level)
 
 
 class _CellSet:
@@ -190,7 +190,7 @@ def _pair_energy_fft(m, s, trunc):
     return float(np.sum(corr * dist ** (-s)))
 
 
-def riesz_energy_direct(m, s, trunc=None, force=None):
+def riesz_energy_direct(m, s, trunc=None):
     """s-dimensional Riesz energy with the kernel truncated at short range.
 
     Sums w_i w_j max(|x_i - x_j|, trunc)^-s over all ordered atom pairs,
@@ -206,8 +206,7 @@ def riesz_energy_direct(m, s, trunc=None, force=None):
         trunc = m.resolution
     if trunc <= 0.0:
         raise ValueError("truncation must be positive")
-    method = force or ("direct" if len(m) <= 3000 else "fft")
-    if method == "direct":
+    if len(m) <= 3000:
         return _pair_energy_direct(m.centers(), m.weights, s, trunc)
     return _pair_energy_fft(m, s, trunc)
 
@@ -255,8 +254,12 @@ def _child_count_sequence(s, steps, branching):
     counts = []
     c = 1
     for j in range(1, steps + 1):
-        target = math.ceil(2.0 ** (j * s))
-        mj = int(math.floor(target / c + 0.5))
+        try:
+            target = math.ceil(2.0 ** (j * s))
+            mj = int(math.floor(target / c + 0.5))
+        except OverflowError:  # no float holds 2^(j s): far above any cap
+            raise ValueError(f"{steps} levels at dimension {s} need more "
+                             f"than 2^1023 cells") from None
         mj = min(branching, max(1, mj))
         counts.append(mj)
         c *= mj
@@ -264,17 +267,10 @@ def _child_count_sequence(s, steps, branching):
 
 
 def _window_squares(root, window):
-    if isinstance(window, DyadicSquare):
-        squares = [window]
-    elif isinstance(window, (list, tuple)) and window and isinstance(window[0], DyadicSquare):
-        squares = list(window)
-    else:
-        x0, x1, y0, y1 = window
-        squares = dyadic_cover_of_box(root, x0, x1, y0, y1)
+    """Dyadic squares, all at one level, tiling the box (x0, x1, y0, y1)."""
+    squares = dyadic_cover_of_box(root, *window)
     if not squares:
         raise ValueError("empty window")
-    if any(sq.root != root for sq in squares):
-        raise ValueError("window squares must share the root")
     # normalize a mixed-size tiling to its finest level
     lev = max(sq.level for sq in squares)
     out = []
@@ -297,7 +293,9 @@ MAX_GENERATED_ATOMS = 100_000
 def _check_atom_count(atoms):
     # called with the final atom count, before any per-atom array exists
     if atoms > MAX_GENERATED_ATOMS:
-        raise ValueError(f"the measure would have {atoms} atoms, above "
+        shown = (atoms if atoms < 10 ** 15
+                 else f"about 10^{math.log10(atoms):.0f}")
+        raise ValueError(f"the measure would have {shown} atoms, above "
                          f"MAX_GENERATED_ATOMS = {MAX_GENERATED_ATOMS}")
 
 

@@ -16,8 +16,8 @@ import numpy as np
 from .content import dyadic_content, smallest_delta_s_constant
 from .geometry import (LINESPACE, PLANE, _cell_codes, _cell_index, grid_shape,
                        level_for_resolution, projection_range)
-from .measures import (PointSet, generate_cantor_measure,
-                       radial_projection_covering)
+from .measures import (PointSet, _child_count_sequence,
+                       generate_cantor_measure, radial_projection_covering)
 
 E_WINDOW = (-0.875, -0.625, -0.125, 0.125)
 F_WINDOW = (0.625, 0.875, -0.125, 0.125)
@@ -31,11 +31,7 @@ def _direction_cantor(s, steps, rng):
     """
     lows = np.array([0.25])
     width = 0.5
-    c = 1
-    for j in range(1, steps + 1):
-        target = math.ceil(2.0 ** (j * s))
-        mj = min(2, max(1, int(math.floor(target / c + 0.5))))
-        c *= mj
+    for mj in _child_count_sequence(s, steps, 2):
         width *= 0.5
         if mj == 2:
             lows = np.concatenate([lows, lows + width])
@@ -230,11 +226,10 @@ class SlicingContentResult:
     tube_cell: tuple
 
 
-def tube_cell_members(cfg, tube_cell, slack=None):
+def tube_cell_members(cfg, tube_cell):
     """F-cells met by the tube of one parameter cell (2 delta halfwidth slack)."""
     delta = cfg.delta
-    if slack is None:
-        slack = 2.0 * delta
+    slack = 2.0 * delta
     c, kcell = tube_cell
     fpts = cfg.mu.centers()
     lo, hi = projection_range(fpts, c * delta, (c + 1) * delta)
@@ -326,15 +321,19 @@ class RadialReport:
     passed: bool
 
 
-def radial_check(E, F, sigma, delta, s, t, seed=0, sample_size=256,
-                 n_subsets=8):
+RADIAL_VIEWPOINTS = 256  # sampled F-cell centers q
+RADIAL_SUBSETS = 8  # seeded half-subsets of E checked from each q
+
+
+def radial_check(E, F, sigma, delta, s, t, seed=0):
     """Radial covering-number check from sampled viewpoints.
 
-    For each sampled F-cell center q, counts the occupied direction
-    intervals of E and of seeded half-subsets of E; reports the best q,
-    the fraction of sampled q reaching delta^-sigma on the full set and
-    every subset, and whether any q passes.  Preconditions (separation,
-    declared dimensions of E and F) are verified and raise by name.
+    For each of RADIAL_VIEWPOINTS sampled F-cell centers q, counts the
+    occupied direction intervals of E and of RADIAL_SUBSETS seeded
+    half-subsets of E; reports the best q, the fraction of sampled q
+    reaching delta^-sigma on the full set and every subset, and whether
+    any q passes.  Preconditions (separation, declared dimensions of E and
+    F) are verified and raise by name.
     """
     if not (t > 1.0):
         raise ValueError("declared dimension t must exceed 1")
@@ -367,11 +366,12 @@ def radial_check(E, F, sigma, delta, s, t, seed=0, sample_size=256,
             "F concentrated near a single line (violates dimension t > 1)")
 
     rng = np.random.default_rng([seed, 101])
-    qi = rng.choice(len(F), size=min(sample_size, len(F)), replace=False)
+    qi = rng.choice(len(F), size=min(RADIAL_VIEWPOINTS, len(F)),
+                    replace=False)
     qi.sort()
 
     subsets = []
-    for j in range(n_subsets):
+    for j in range(RADIAL_SUBSETS):
         sub_rng = np.random.default_rng([seed, 202, j])
         pick = np.sort(sub_rng.choice(len(E), size=len(E) // 2, replace=False))
         subsets.append(PointSet(E.root, E.resolution, E.ix[pick], E.iy[pick]))

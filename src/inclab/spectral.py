@@ -12,11 +12,9 @@ adjoint makes their quadrature biases cancel in the duality pairing (the
 observed gap decays like h^3), which is what the tight adjoint tolerance
 relies on; higher-order schemes break the cancellation and do worse.
 
-`xray` gathers the interpolation corners with numpy, bit for bit as
-`scipy.ndimage.map_coordinates` would, and marches only the angles in
-[0, 1/2) when their count is even: the other half is the mirror image
-Rg(theta + 1/2, r) = Rg(theta, -r).  `smoothing_ratio` computes one
-transform per input for all the Sobolev exponents it is asked for.
+`xray` maps an n x n grid to n angles x n offsets, gathering the corners
+bit for bit as `scipy.ndimage.map_coordinates` would; it marches only the
+angles in [0, 1/2), the rest being Rg(theta + 1/2, r) = Rg(theta, -r).
 """
 
 import math
@@ -27,6 +25,11 @@ import numpy as np
 from scipy import integrate
 
 from .geometry import level_for_resolution
+
+
+def _cell_centers(n):
+    """Centers of the n equal cells tiling [-2, 2)."""
+    return -2.0 + (np.arange(n) + 0.5) * (4.0 / n)
 
 
 @dataclass
@@ -55,7 +58,7 @@ class PlanarGrid:
         return 4.0 / self.n
 
     def axis(self):
-        return -2.0 + (np.arange(self.n) + 0.5) * self.h
+        return _cell_centers(self.n)
 
     def meshes(self):
         x = self.axis()
@@ -63,9 +66,8 @@ class PlanarGrid:
 
     @classmethod
     def from_function(cls, n, func):
-        x = -2.0 + (np.arange(n) + 0.5) * (4.0 / n)
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        return cls(func(X, Y))
+        x = _cell_centers(n)
+        return cls(func(*np.meshgrid(x, x, indexing="ij")))
 
     def norm_l2(self):
         return math.sqrt(np.sum(np.abs(self.values) ** 2) * self.h ** 2)
@@ -99,7 +101,7 @@ class CylinderGrid:
         return np.arange(self.n_theta) / self.n_theta
 
     def rs(self):
-        return -2.0 + (np.arange(self.n_r) + 0.5) * self.dr
+        return _cell_centers(self.n_r)
 
     def norm_l2(self):
         return math.sqrt(np.sum(np.abs(self.values) ** 2)
@@ -110,14 +112,15 @@ class CylinderGrid:
 class SpectrumCylinder:
     """Mixed Fourier coefficients: integer angular modes x r-frequency bins."""
 
-    values: np.ndarray      # complex, (n_theta, n_r) in fft layout
+    values: np.ndarray      # complex, (n_theta, 4 n_r) in fft layout
     modes: np.ndarray       # integer angular mode per row
-    rhos: np.ndarray        # r-frequency per column, step 1/4
+    rhos: np.ndarray        # r-frequency per column, step delta_rho
     delta_rho: float
 
 
 SUPPORT_RADIUS = 1.5
 _MARCH_MAX = 1.75  # integration reach along lines; covers B(1.5) supports
+_PAD = 4  # zero padding of the spectra behind the Sobolev norms
 
 
 def _check_support(g):
@@ -128,9 +131,10 @@ def _check_support(g):
         raise ValueError("support too large")
 
 
-def xray(g, n_theta=None, n_r=None):
+def xray(g):
     """Line-integral transform: Rg(theta, r) = integral of g over the line.
 
+    Samples n angles i/n and the n cell-centered offsets of the grid.
     Marches along each line with step equal to the grid spacing, reading g
     by bilinear interpolation (zero outside the box); exact in total weight
     for constants.  Requires g real with support inside B(1.5).
@@ -138,27 +142,22 @@ def xray(g, n_theta=None, n_r=None):
     The interpolation gathers the four corner cells of every sample point
     from a zero-padded copy of the grid, with the arithmetic of
     `scipy.ndimage.map_coordinates(order=1, mode="constant")`, so the
-    marched rows equal that reference bit for bit.  For an even n_theta
-    only the angles in [0, 1/2) are marched; row i + n_theta/2 is row i
-    reversed, since Rg(theta + 1/2, r) = Rg(theta, -r) and the r grid is
-    symmetric about 0.
+    marched rows equal that reference bit for bit.  Only the angles in
+    [0, 1/2) are marched (n is even); row i + n/2 is row i reversed, since
+    Rg(theta + 1/2, r) = Rg(theta, -r) and the r grid is symmetric about 0.
     """
     if np.iscomplexobj(g.values):
         raise ValueError("xray input must be real")
     _check_support(g)
-    n = g.n
-    h = g.h
-    n_theta = n_theta or n
-    n_r = n_r or n
-    dr = 4.0 / n_r
-    rs = -2.0 + (np.arange(n_r) + 0.5) * dr
+    n, h = g.n, g.h
+    rs = g.axis()
 
     m = int(math.ceil(2.0 * _MARCH_MAX / h))
     u = (np.arange(m) - 0.5 * (m - 1)) * h
 
     active = np.abs(rs) <= _MARCH_MAX
     ra = rs[active]
-    out = np.zeros((n_theta, n_r))
+    out = np.zeros((n, n))
     # rows n, n + 1 and column n are zero; a point off the grid reads the
     # 2 x 2 zero block at (n, 0), since a zero weight on a negative value
     # would leave -0.0 where the reference has 0.0
@@ -166,9 +165,9 @@ def xray(g, n_theta=None, n_r=None):
     padded = np.zeros((n + 2, stride))
     padded[:n, :n] = g.values
     flat = padded.ravel()
-    marched = n_theta // 2 if n_theta % 2 == 0 else n_theta
-    for i in range(marched):
-        a = 2.0 * math.pi * (i / n_theta)
+    half = n // 2
+    for i in range(half):
+        a = 2.0 * math.pi * (i / n)
         c, s = math.cos(a), math.sin(a)
         px = ra[:, None] * c + u[None, :] * s
         py = ra[:, None] * s - u[None, :] * c
@@ -186,20 +185,18 @@ def xray(g, n_theta=None, n_r=None):
                 + ((flat[k + stride] * wx1) * wy0)
                 + ((flat[k + stride + 1] * wx1) * wy1))
         out[i, active] = line.sum(axis=1) * h
-    out[marched:] = out[:n_theta - marched, ::-1]
+    out[half:] = out[:half, ::-1]
     return CylinderGrid(out)
 
 
-def adjoint_xray(f, n=None):
-    """Backprojection: R*f(z) = average over angles of f(theta, pi_theta(z)).
-
-    Averages the angle samples with linear interpolation in r (clamped at
+def adjoint_xray(f):
+    """Backprojection: R*f(z) = average over angles of f(theta, pi_theta(z)),
+    on the n_r x n_r planar grid, with linear interpolation in r (clamped at
     the r-range ends, so constants map to constants exactly).
     """
-    n = n or f.n_r
-    x = -2.0 + (np.arange(n) + 0.5) * (4.0 / n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
+    n = f.n_r
     rs = f.rs()
+    X, Y = np.meshgrid(rs, rs, indexing="ij")
     acc = np.zeros((n, n))
     for i in range(f.n_theta):
         a = 2.0 * math.pi * (i / f.n_theta)
@@ -219,22 +216,33 @@ def cylinder_inner(f1, f2):
 # ---------------------------------------------------------------------------
 # Fourier side
 
+def _fourier_axis(n, step):
+    """fft frequencies of n samples `step` apart from the first cell center
+    of [-2, 2), and the phase that makes their fft a Fourier transform."""
+    freqs = np.fft.fftfreq(n, d=step)
+    return freqs, np.exp(-2j * math.pi * freqs * (-2.0 + 0.5 * step))
+
+
+def _r_fourier(values, dr, pad):
+    """(coefficients, frequencies) of each row's Fourier transform in r,
+    zero-padded pad-fold: exact, with frequency step 1/(4 pad)."""
+    n = pad * values.shape[1]
+    rhos, phase = _fourier_axis(n, dr)
+    return np.fft.fft(values, n=n, axis=1) * dr * phase, rhos
+
+
 def mixed_fourier(f):
-    """Fourier series in the angle, Fourier transform in r (bin step 1/4).
+    """Fourier series in the angle, Fourier transform in r, zero-padded
+    `_PAD`-fold in r (bin step 1/16).
 
     Coefficients approximate integral over [0,1] x R of
     exp(-2 pi i (n theta + rho r)) f; Parseval holds exactly for the
     discrete sums.
     """
-    n_theta, n_r = f.n_theta, f.n_r
-    dr = f.dr
-    spec = np.fft.fft2(f.values)
-    spec /= n_theta
-    rhos = np.fft.fftfreq(n_r, d=dr)
-    r0 = -2.0 + 0.5 * dr
-    spec *= dr * np.exp(-2j * math.pi * rhos * r0)[None, :]
-    modes = np.rint(np.fft.fftfreq(n_theta, d=1.0 / n_theta)).astype(int)
-    return SpectrumCylinder(spec, modes, rhos, 0.25)
+    spec, rhos = _r_fourier(np.fft.fft(f.values, axis=0) / f.n_theta, f.dr,
+                            _PAD)
+    modes = np.rint(np.fft.fftfreq(f.n_theta, d=1.0 / f.n_theta)).astype(int)
+    return SpectrumCylinder(spec, modes, rhos, rhos[1] - rhos[0])
 
 
 def _zero_bin_average_1d(s, width):
@@ -255,28 +263,32 @@ def _zero_bin_average_2d(e, width):
     return (8.0 * a ** (2 * e + 2) / (2 * e + 2)) * val / width ** 2
 
 
-def _radial_weight(xi, e, zero_avg, near=3):
-    """|xi|^(2e) at bin centers, with bins near the origin carrying the
-    bin-averaged weight and the center bin the exact average `zero_avg`.
+def _cusp_weight(rows, cols, e, zero_avg):
+    """|xi|^(2e) on the fft-layout frequency grid rows x cols, with each bin
+    within 3 steps of the origin carrying the weight averaged over 16
+    sub-samples per continuous axis, and the origin bin `zero_avg`.
 
-    Frequency axes are in fft layout (index -i is frequency -i * step).
-    Averaging the cusped weight over the near-origin bins removes the
-    dominant quadrature error once the spectrum varies slowly per bin.
+    An integer axis (angular modes) is discrete: only its zero index meets
+    the cusp.  The averaging removes the dominant quadrature error once the
+    spectrum varies slowly per bin.
     """
-    q = xi[:, None] ** 2 + xi[None, :] ** 2
+    q = rows[:, None] ** 2 + cols[None, :] ** 2
     if e == 0:
         return np.ones_like(q)
     with np.errstate(divide="ignore"):
         w = q ** e
-    step = abs(xi[1] - xi[0])
     sub = (np.arange(16) + 0.5) / 16.0 - 0.5
-    A, B = np.meshgrid(sub, sub, indexing="ij")
-    for i in range(-near, near + 1):
-        for j in range(-near, near + 1):
-            if (i, j) == (0, 0):
-                continue
-            w[i, j] = np.mean((((i + A) * step) ** 2
-                               + ((j + B) * step) ** 2) ** e)
+    # per axis: indices near the origin, sub-sample offsets and bin step
+    (near_i, a, da), (near_j, b, db) = [
+        ([0], np.zeros(1), 1.0) if axis.dtype.kind == "i"
+        else (range(-3, 4), sub, abs(axis[1] - axis[0]))
+        for axis in (rows, cols)]
+    A, B = np.meshgrid(a, b, indexing="ij")
+    for i in near_i:
+        for j in near_j:
+            if (i, j) != (0, 0):
+                w[i, j] = np.mean((((i + A) * da) ** 2
+                                   + ((j + B) * db) ** 2) ** e)
     w[0, 0] = zero_avg
     return w
 
@@ -290,50 +302,24 @@ def sobolev_norm_cylinder(f, s):
     """
     if not (-1.0 <= s <= 1.0):
         raise ValueError("exponent s must lie in [-1, 1]")
-    # refine the r-frequency sampling fourfold by zero padding; exact for the
-    # compactly r-supported inputs this norm is used on, and it sharpens the
-    # quadrature of the |rho|^(2s) cusp along the zero angular mode
-    pad = 4
-    n_theta, n_r = f.n_theta, f.n_r
-    dr = f.dr
-    spec = np.fft.fft(f.values, axis=0) / n_theta
-    spec = np.fft.fft(spec, n=pad * n_r, axis=1) * dr
-    modes = np.rint(np.fft.fftfreq(n_theta, d=1.0 / n_theta)).astype(int)
-    rhos = np.fft.fftfreq(pad * n_r, d=dr)
-    drho = rhos[1] - rhos[0]
-
-    q = modes[:, None] ** 2 + rhos[None, :] ** 2
-    if s != 0:
-        with np.errstate(divide="ignore"):
-            w = q ** s
-        # the angular sum is exact; only the rho-quadrature sees the cusp of
-        # |rho|^(2s), along the n = 0 row
-        sub = ((np.arange(16) + 0.5) / 16.0 - 0.5) * drho
-        for j in (-3, -2, -1, 1, 2, 3):
-            w[0, j] = np.mean(np.abs(rhos[j] + sub) ** (2 * s))
-        if s > -0.5:
-            w[0, 0] = _zero_bin_average_1d(s, drho)
-        else:
-            w[0, 0] = 0.0
-            warnings.warn("zero-frequency bin excluded for s <= -1/2",
-                          stacklevel=2)
-    else:
-        w = np.ones((1, 1))
-    total = np.sum(np.abs(spec) ** 2 * w) * drho
+    spec = mixed_fourier(f)
+    drho = spec.delta_rho
+    if s <= -0.5:
+        warnings.warn("zero-frequency bin excluded for s <= -1/2",
+                      stacklevel=2)
+    zero_avg = _zero_bin_average_1d(s, drho) if s > -0.5 else 0.0
+    w = _cusp_weight(spec.modes, spec.rhos, s, zero_avg)
+    total = np.sum(np.abs(spec.values) ** 2 * w) * drho
     return math.sqrt(float(total))
 
 
-def plane_fourier(g, pad=1):
-    """2d Fourier coefficients of a planar grid; frequency step 1/(4 pad).
-
-    Zero padding refines the frequency sampling and is exact for functions
-    supported inside the box.
-    """
+def plane_fourier(g):
+    """2d Fourier coefficients of a planar grid, zero-padded `_PAD`-fold:
+    exact for functions supported inside the box, frequency step 1/16."""
     n, h = g.n, g.h
-    N = pad * n
+    N = _PAD * n
     spec = np.fft.fft2(g.values, s=(N, N)) * h * h
-    xi = np.fft.fftfreq(N, d=h)
-    phase = np.exp(-2j * math.pi * xi * (-2.0 + 0.5 * h))
+    xi, phase = _fourier_axis(N, h)
     spec *= phase[:, None] * phase[None, :]
     return spec, xi
 
@@ -346,9 +332,9 @@ def sobolev_norm_plane(g, s):
     """
     if not (-1.0 < s <= 1.0):
         raise ValueError("exponent s must lie in (-1, 1]")
-    spec, xi = plane_fourier(g, pad=4)
+    spec, xi = plane_fourier(g)
     step = xi[1] - xi[0]
-    w = _radial_weight(xi, s, _zero_bin_average_2d(s, step))
+    w = _cusp_weight(xi, xi, s, _zero_bin_average_2d(s, step))
     total = np.sum(np.abs(spec) ** 2 * w) * step * step
     return math.sqrt(float(total))
 
@@ -379,26 +365,17 @@ def riesz_energy_fourier(m, s):
 
     spec = np.fft.fft2(grid)  # phases drop out of |.|^2
     xi = np.fft.fftfreq(n, d=delta)
-    q = xi[:, None] ** 2 + xi[None, :] ** 2
+    dxi = xi[1] - xi[0]  # 1/4
     e = (s - 2) / 2
-    w = _radial_weight(xi, e, _zero_bin_average_2d(e, 0.25))
+    w = _cusp_weight(xi, xi, e, _zero_bin_average_2d(e, dxi))
+    q = xi[:, None] ** 2 + xi[None, :] ** 2
     w[q > (1.0 / (2.0 * delta)) ** 2] = 0.0  # truncate at |xi| <= 1/(2 delta)
-    dxi = xi[1] - xi[0]
     total = np.sum(np.abs(spec) ** 2 * w) * dxi * dxi
     return riesz_gamma(s) * float(total)
 
 
 # ---------------------------------------------------------------------------
 # checks built from the transforms
-
-def _r_transform(f):
-    """Fourier transform of a cylinder grid in the r direction only."""
-    dr = f.dr
-    spec = np.fft.fft(f.values, axis=1)
-    rhos = np.fft.fftfreq(f.n_r, d=dr)
-    spec = spec * dr * np.exp(-2j * math.pi * rhos * (-2.0 + 0.5 * dr))[None, :]
-    return spec, rhos
-
 
 def nonuniform_plane_fourier(g, points):
     """Exact evaluation of the planar Fourier sum at arbitrary frequencies.
@@ -427,7 +404,7 @@ def slice_identity_residual(g, sample_size=512, seed=0):
     discretization error.
     """
     Rg = xray(g)
-    spec, rhos = _r_transform(Rg)
+    spec, rhos = _r_fourier(Rg.values, Rg.dr, 1)
     thetas = Rg.thetas()
 
     n = g.n

@@ -88,15 +88,30 @@ def test_invalid_parameter_exit_2(tmp_path, capsys):
         assert code == 2
         assert "--n must be a power of two from 16 to 512" in \
             capsys.readouterr().err
+    # a given flag reaches the experiment's own range check, never a default
+    for argv, message in ((["slicing", "--s", "0"], "need s in (0, 1]"),
+                          (["radial", "--t", "0"], "need 0 < s <= 2"),
+                          (["furstenberg", "--s", "0.5"], "--s and --t"),
+                          (["furstenberg", "--t", "1.5"], "--s and --t"),
+                          (["furstenberg", "--s", "0", "--t", "1.5"],
+                           "s must lie in (2 - t, 1]")):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
 def test_generator_atom_cap_exit_2(tmp_path, capsys):
-    start = time.perf_counter()
-    code = cli.main(["radial", "--deltas", "2^-40", "--out", str(tmp_path)])
-    assert time.perf_counter() - start < 5.0
-    assert code == 2
-    assert "MAX_GENERATED_ATOMS" in capsys.readouterr().err
+    # 2^-1074 is the smallest float: 1 / delta overflows; with s = 2 at
+    # 2^-600 the child-count target 2^(j s) overflows
+    for flags, message in ((["--deltas", "2^-40"], "MAX_GENERATED_ATOMS"),
+                           (["--deltas", "2^-1074"], "MAX_GENERATED_ATOMS"),
+                           (["--s", "2", "--deltas", "2^-600"],
+                            "need more than 2^1023 cells")):
+        start = time.perf_counter()
+        code = cli.main(["radial", *flags, "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

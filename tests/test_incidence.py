@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from inclab.incidence import (SWEEP_DELTA_MAX, fit_slope, incidences,
                               inequality_sweep, lemma4_upper_bound)
@@ -32,21 +35,28 @@ def test_incidence_far_line():
     assert incidences(mu, nu, 0.1).value == 0.0
 
 
-def test_incidence_brute_equals_bucketed_exactly():
-    rng = np.random.default_rng(0)
-    for trial in range(5):
-        n = int(rng.integers(20, 200))
-        m = int(rng.integers(20, 200))
-        mu = PlanarAtomMeasure(2.0 ** -7, rng.integers(200, 312, n),
-                               rng.integers(200, 312, n),
-                               rng.uniform(0.01, 1.0, n))
-        nu = LineParamMeasure(2.0 ** -7, rng.integers(32, 96, m),
-                              rng.integers(128, 384, m),
-                              rng.uniform(0.01, 1.0, m))
-        for d in (2.0 ** -6, 2.0 ** -5, 2.0 ** -4):
-            a = incidences(mu, nu, d, method="brute").value
-            b = incidences(mu, nu, d, method="bucketed").value
-            assert a == b  # bitwise
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_incidence_brute_equals_bucketed_exactly(data):
+    # atoms near the origin and tubes with angles in [1/4, 3/4) and offsets
+    # in [-1, 1), all at resolution 2^-7; repeated cells merge their weights
+    def atoms(size, x_range, y_range):
+        def draw(dtype, elements):
+            return data.draw(arrays(dtype, size, elements=elements))
+        return (draw(np.int64, st.integers(*x_range)),
+                draw(np.int64, st.integers(*y_range)),
+                draw(float, st.floats(0.01, 1.0)))
+
+    mu = PlanarAtomMeasure(2.0 ** -7, *atoms(data.draw(st.integers(1, 200)),
+                                             (200, 311), (200, 311)))
+    nu = LineParamMeasure(2.0 ** -7, *atoms(data.draw(st.integers(1, 200)),
+                                            (32, 95), (128, 383)))
+    deltas = st.one_of(st.sampled_from([2.0 ** -k for k in range(3, 8)]),
+                       st.floats(2.0 ** -7, 2.0 ** -3))
+    for d in data.draw(st.lists(deltas, min_size=1, max_size=3)):
+        a = incidences(mu, nu, d, method="brute").value
+        b = incidences(mu, nu, d, method="bucketed").value
+        assert a == b  # bitwise
 
 
 def test_incidence_monotone_in_delta():
