@@ -41,12 +41,14 @@ def _parse_deltas(text):
 
 
 def _rows_to_csv(rows):
+    """CSV text; the header is every key in order of first appearance, and
+    a row without a key leaves its cell empty."""
     if not rows:
         return "\n"
-    keys = list(rows[0].keys())
+    keys = list(dict.fromkeys(k for r in rows for k in r))
     lines = [",".join(keys)]
     for r in rows:
-        lines.append(",".join(_csv_cell(r.get(k)) for k in keys))
+        lines.append(",".join(_csv_cell(r[k]) if k in r else "" for k in keys))
     return "\n".join(lines) + "\n"
 
 
@@ -239,9 +241,12 @@ def _apply_config(args, parser):
         args.deltas = _parse_deltas(args.deltas)
     if args.threads is None:
         args.threads = int(os.environ.get("INCLAB_THREADS", "1"))
-    if args.n is not None and (not 16 <= args.n <= MAX_GRID_N
+    # xray-check also builds a grid of side n/2, and a grid side is at least 16
+    low = 32 if args.command == "xray-check" else 16
+    if args.n is not None and (not low <= args.n <= MAX_GRID_N
                                or args.n & (args.n - 1)):
-        raise ValueError(f"--n must be a power of two from 16 to {MAX_GRID_N}")
+        raise ValueError(
+            f"--n must be a power of two from {low} to {MAX_GRID_N}")
     return args
 
 

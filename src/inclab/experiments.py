@@ -55,9 +55,7 @@ def _random_plane_function(rng, n, widths=(0.08, 0.16)):
 
 
 def _random_cylinder_function(rng, n):
-    th = np.arange(n) / n
-    r = -2.0 + (np.arange(n) + 0.5) * (4.0 / n)
-    T, R = np.meshgrid(th, r, indexing="ij")
+    T, R = np.meshgrid(np.arange(n) / n, sp._cell_centers(n), indexing="ij")
     vals = np.zeros_like(T)
     for k in range(3):
         c = rng.uniform(-0.2, 0.2)
@@ -234,31 +232,23 @@ def _window_count(dim, steps):
     return 4 * int(np.prod(ms._child_count_sequence(dim, steps, 4)))
 
 
-def _auto_plane_window(dim, delta, cap=ATOM_CAP):
-    """Largest centered 2x2 dyadic block keeping the atom count under cap.
+def _auto_window(root, dim, delta, cap=ATOM_CAP):
+    """Largest 2x2 dyadic block keeping the atom count under cap.
 
-    Four equal-mass window squares of side L need L^dim >= 1/64 for the
+    Returns (x0, x1, y0, y1).  PLANE blocks are centered at the origin,
+    with squares of side 1/2 and finer; LINESPACE blocks sit in
+    [1/4, 3/4) x [-1, 1), with squares of side 1/4 and finer.  Four
+    equal-mass window squares of side L need L^dim >= 1/64 for the
     generator's Frostman contract, so the window cannot shrink arbitrarily.
     """
-    level = level_for_resolution(PLANE, delta)
-    for w_level in range(3, level):
-        side = 4.0 * 2.0 ** (-w_level)
+    level = level_for_resolution(root, delta)
+    for w_level in range(3 if root == PLANE else 2, level):
+        side = side_at_level(root, w_level)
         if 0.25 / side ** dim > 14.0:
             break
         if _window_count(dim, level - w_level) <= cap:
-            return (-side, side, -side, side)
-    raise ValueError("no feasible window under the atom cap")
-
-
-def _auto_line_window(dim, delta, cap=ATOM_CAP):
-    """2x2 dyadic block in [1/4, 3/4) x [-1, 1) sized to the atom cap."""
-    level = level_for_resolution(LINESPACE, delta)
-    for w_level in range(2, level):
-        side = 2.0 ** (-w_level)
-        if 0.25 / side ** dim > 14.0:
-            break
-        if _window_count(dim, level - w_level) <= cap:
-            return (0.25, 0.25 + 2 * side), (-side, side)
+            x0 = -side if root == PLANE else 0.25
+            return (x0, x0 + 2 * side, -side, side)
     raise ValueError("no feasible window under the atom cap")
 
 
@@ -280,10 +270,10 @@ def exp_incidence_sweep(seed=0, t_values=(1.1, 1.3, 1.5, 1.7, 1.9),
         for j in range(n_seeds):
             mu = ms.generate_cantor_measure(
                 t, resolution, seed=[seed, 5, j],
-                window=_auto_plane_window(t, resolution))
-            tw, rw = _auto_line_window(t, resolution)
+                window=_auto_window(PLANE, t, resolution))
+            w = _auto_window(LINESPACE, t, resolution)
             nu = ms.generate_line_measure(t, resolution, seed=[seed, 6, j],
-                                          theta_window=tw, r_window=rw)
+                                          theta_window=w[:2], r_window=w[2:])
             table = inc.inequality_sweep(mu, nu, t, deltas)
             summ = table.summary(slope_max=slope_max, growth_max=growth_max)
             summ["seed_index"] = j

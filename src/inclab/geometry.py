@@ -22,10 +22,14 @@ HULL_FACTOR = 10.0
 
 
 def project(p, theta):
-    """p . e_theta for a single point or an (N, 2) array of points."""
-    a = 2.0 * math.pi * theta
+    """p . e_theta for points p of shape (..., 2); theta broadcasts against them.
+
+    A point p lies on the line (theta, r) up to delta when
+    |project(p, theta) - r| <= delta; every incidence test uses this.
+    """
+    a = 2.0 * math.pi * np.asarray(theta)
     p = np.asarray(p, dtype=float)
-    return p[..., 0] * math.cos(a) + p[..., 1] * math.sin(a)
+    return p[..., 0] * np.cos(a) + p[..., 1] * np.sin(a)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@ incidence-vs-energy inequality sweep.
 
 The incidence count pairs a planar atom measure with a measure on line
 parameters: a pair (p, q) is incident when the point p lies in the tube of
-halfwidth delta around the line with parameters q.  Atoms are identified
-with their cell centers; the delta >= resolution precondition makes the
-center-versus-cell discrepancy a sub-delta perturbation.
+halfwidth delta around the line with parameters q, that is when
+|geometry.project(p, theta_q) - r_q| <= delta.  Atoms are identified with
+their cell centers; the delta >= resolution precondition makes the
+center-versus-cell discrepancy a sub-delta perturbation.  There is one
+counting path: angle bands prune the candidate atoms of each line, and one
+per-line kernel sums the incident weights.
 """
 
 import math
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import project
 from .measures import riesz_energy_direct
 
 # Angle margin required of the line measure in the sweep.  A tube angle
@@ -25,74 +29,57 @@ SWEEP_DELTA_MAX = 0.25 / 7.0
 class IncidenceResult:
     delta: float
     value: float
-    method: str
 
 
-def _per_line_sums(pts, w, thetas, rs, delta, candidates=None):
-    """Incident-mass sum for each line; candidate index lists may prune.
+def _line_sum(cand_pts, cand_idx, w, theta, r, delta):
+    """np.sum, in ascending atom order, of the weights of the candidate atoms
+    (indices cand_idx, centers cand_pts) that lie within delta of the line
+    (theta, r).
 
-    The per-line sum is always np.sum over the incident weights taken in
-    ascending atom order, so pruned and unpruned evaluations are bitwise
-    identical.
+    Every candidate set that holds all the incident atoms gives the same
+    bits, since the incident weights are always summed in atom order.
     """
-    sums = np.empty(len(thetas))
-    for k in range(len(thetas)):
-        a = 2.0 * math.pi * thetas[k]
-        idx = candidates[k] if candidates is not None else None
-        if idx is None:
-            proj = pts[:, 0] * math.cos(a) + pts[:, 1] * math.sin(a)
-            hit = np.flatnonzero(np.abs(proj - rs[k]) <= delta)
-        else:
-            proj = pts[idx, 0] * math.cos(a) + pts[idx, 1] * math.sin(a)
-            hit = idx[np.abs(proj - rs[k]) <= delta]
-        sums[k] = np.sum(w[hit])
-    return sums
+    hit = cand_idx[np.abs(project(cand_pts, theta) - r) <= delta]
+    return np.sum(w[np.sort(hit)])
 
 
-def incidences(mu, nu, delta, method="bucketed"):
+def incidences(mu, nu, delta):
     """Weighted incidence mass between mu-atoms and nu-tubes at width delta.
 
-    BRUTE tests every pair; BUCKETED pre-sorts atoms by projection within
-    angle bands and prunes candidates, reproducing BRUTE bit-for-bit.
-    Requires delta >= both resolutions.
+    Lines are bucketed into angle bands of width delta; within a band the
+    atoms are sorted by their projection at the band center, and each line
+    takes as candidates the atoms whose projection there lies within delta
+    plus the band's angular slack of its offset.  The result equals testing
+    every pair, bit for bit.  Requires delta >= both resolutions.
     """
     if delta < max(mu.resolution, nu.resolution):
         raise ValueError("delta must be at least the atom resolutions")
     if len(mu) == 0 or len(nu) == 0:
-        return IncidenceResult(delta, 0.0, method.upper())
+        return IncidenceResult(delta, 0.0)
 
     pts = mu.centers()
     w = mu.weights
     thetas, rs = nu.line_params()
     v = nu.weights
 
-    if method.lower() == "brute":
-        sums = _per_line_sums(pts, w, thetas, rs, delta)
-    elif method.lower() == "bucketed":
-        sums = np.empty(len(thetas))
-        maxnorm = float(np.abs(pts).max()) * math.sqrt(2.0) + 1e-12
-        band_width = delta
-        bands = np.floor(thetas / band_width).astype(np.int64)
-        order = np.argsort(bands, kind="stable")
-        slack = 2.0 * math.pi * maxnorm * band_width
-        for b in np.unique(bands[order]):
-            members = order[bands[order] == b]
-            theta0 = (b + 0.5) * band_width
-            a = 2.0 * math.pi * theta0
-            proj0 = pts[:, 0] * math.cos(a) + pts[:, 1] * math.sin(a)
-            rank = np.argsort(proj0, kind="stable")
-            sorted_proj = proj0[rank]
-            for k in members:
-                lo = np.searchsorted(sorted_proj, rs[k] - delta - slack)
-                hi = np.searchsorted(sorted_proj, rs[k] + delta + slack)
-                idx = np.sort(rank[lo:hi])
-                sums[k] = _per_line_sums(pts, w, thetas[k:k + 1],
-                                         rs[k:k + 1], delta, [idx])[0]
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    sums = np.empty(len(thetas))
+    maxnorm = float(np.abs(pts).max()) * math.sqrt(2.0) + 1e-12
+    bands = np.floor(thetas / delta).astype(np.int64)
+    order = np.argsort(bands, kind="stable")
+    slack = 2.0 * math.pi * maxnorm * delta
+    for b in np.unique(bands[order]):
+        proj0 = project(pts, (b + 0.5) * delta)
+        rank = np.argsort(proj0, kind="stable")
+        sorted_proj = proj0[rank]
+        sorted_pts = pts[rank]
+        for k in order[bands[order] == b]:
+            lo = np.searchsorted(sorted_proj, rs[k] - delta - slack)
+            hi = np.searchsorted(sorted_proj, rs[k] + delta + slack)
+            sums[k] = _line_sum(sorted_pts[lo:hi], rank[lo:hi], w,
+                                thetas[k], rs[k], delta)
 
     total = math.fsum(float(v[k]) * float(sums[k]) for k in range(len(v)))
-    return IncidenceResult(delta, total, method.upper())
+    return IncidenceResult(delta, total)
 
 
 def _interval_measure(theta0, r0, pts, delta, grid=257, iters=45):
@@ -105,48 +92,39 @@ def _interval_measure(theta0, r0, pts, delta, grid=257, iters=45):
     """
     n = pts.shape[0]
     ts = theta0 + 3.0 * delta * np.linspace(-1.0, 1.0, grid)
-    ang = 2.0 * math.pi * ts
-    proj = pts[:, 0:1] * np.cos(ang)[None, :] + pts[:, 1:2] * np.sin(ang)[None, :]
-    inside = (ts[None, :] - theta0) ** 2 + (proj - r0) ** 2 <= 9.0 * delta ** 2
+    inside = _inside(ts, pts[:, None, :], theta0, r0, delta)
 
-    flips = inside[:, 1:] != inside[:, :-1]
-    pi_idx, ki = np.nonzero(flips)
+    # crossings in point order, and per point in angle order
+    pi_idx, ki = np.nonzero(inside[:, 1:] != inside[:, :-1])
     if pi_idx.size:
         lo = ts[ki].copy()
         hi = ts[ki + 1].copy()
-        px = pts[pi_idx, 0]
-        py = pts[pi_idx, 1]
-        lo_in = _inside(lo, px, py, theta0, r0, delta)
+        crossing_pts = pts[pi_idx]
+        lo_in = _inside(lo, crossing_pts, theta0, r0, delta)
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
-            same = _inside(mid, px, py, theta0, r0, delta) == lo_in
+            same = _inside(mid, crossing_pts, theta0, r0, delta) == lo_in
             lo = np.where(same, mid, lo)
             hi = np.where(same, hi, mid)
         roots = 0.5 * (lo + hi)
     else:
         roots = np.empty(0)
 
-    # assemble the inside-intervals per point from the refined crossings
-    out = np.zeros(n)
-    root_lists = [[] for _ in range(n)]
-    for m in range(pi_idx.size):
-        root_lists[pi_idx[m]].append(float(roots[m]))
-    for p in range(n):
-        marks = [ts[0]] + sorted(root_lists[p]) + [ts[-1]]
-        acc = 0.0
-        for seg in range(len(marks) - 1):
-            mid = 0.5 * (marks[seg] + marks[seg + 1])
-            if _inside(np.array([mid]), pts[p, 0], pts[p, 1],
-                       theta0, r0, delta)[0]:
-                acc += marks[seg + 1] - marks[seg]
-        out[p] = acc
-    return out
+    # each point's segments run between the sample ends and its roots; add
+    # the lengths of those whose midpoint is inside, in angle order
+    counts = np.bincount(pi_idx, minlength=n)
+    first = np.cumsum(counts) - counts
+    left = np.insert(roots, first, ts[0])
+    right = np.insert(roots, first + counts, ts[-1])
+    owner = np.repeat(np.arange(n), counts + 1)
+    keep = _inside(0.5 * (left + right), pts[owner], theta0, r0, delta)
+    return np.bincount(owner[keep], weights=(right - left)[keep], minlength=n)
 
 
-def _inside(ts, px, py, theta0, r0, delta):
-    ang = 2.0 * math.pi * np.asarray(ts)
-    proj = px * np.cos(ang) + py * np.sin(ang)
-    return (np.asarray(ts) - theta0) ** 2 + (proj - r0) ** 2 <= 9.0 * delta ** 2
+def _inside(ts, pts, theta0, r0, delta):
+    """Whether (t, proj_t(p)) lies in the 3 delta ball around (theta0, r0);
+    ts broadcasts against the points pts of shape (..., 2)."""
+    return (ts - theta0) ** 2 + (project(pts, ts) - r0) ** 2 <= 9.0 * delta ** 2
 
 
 def lemma4_upper_bound(mu, nu, delta):
@@ -175,13 +153,6 @@ class RatioTable:
     t: float
     rows: list  # dicts: delta, incidence, energy_mu, energy_nu, ratio
     slope: float
-
-    def csv_text(self):
-        lines = ["delta,t,incidence,energy_mu,energy_nu,ratio"]
-        for r in self.rows:
-            lines.append(f"{r['delta']!r},{self.t!r},{r['incidence']!r},"
-                         f"{r['energy_mu']!r},{r['energy_nu']!r},{r['ratio']!r}")
-        return "\n".join(lines) + "\n"
 
     def summary(self, slope_max=0.1, growth_max=4.0):
         ratios = [r["ratio"] for r in self.rows]

@@ -301,7 +301,7 @@ def _check_atom_count(atoms):
 
 def _generate_measure(root, s, delta, seed, window, style):
     if not (0.0 < s <= 2.0):
-        raise ValueError("infeasible dimension s (need 0 < s <= 2)")
+        raise ValueError(f"infeasible dimension {s} (need 0 < dimension <= 2)")
     level = level_for_resolution(root, delta)
     squares = _window_squares(root, window)
     steps = level - squares[0].level

@@ -4,8 +4,10 @@ tube-family bound, the tube-slicing experiment, and radial projections.
 Generators build seeded deterministic fixtures: a planar fractal measure
 together with per-point families of dyadic tubes (non-concentrated in the
 line-parameter space), or a separated pair of fractal sets with the tube
-bundle joining them.  Harnesses then measure dyadic contents and covering
-numbers whose non-decay across scales is the quantity of interest.
+bundle joining them.  Both store a tube family the same way: a dict from a
+planar cell (ix, iy) to the PointSet of its line-parameter cells.  Harnesses
+then measure dyadic contents and covering numbers whose non-decay across
+scales is the quantity of interest.
 """
 
 import math
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .content import dyadic_content, smallest_delta_s_constant
-from .geometry import (LINESPACE, PLANE, _cell_codes, _cell_index, grid_shape,
-                       level_for_resolution, projection_range)
+from .geometry import (LINESPACE, PLANE, grid_shape, level_for_resolution,
+                       project, projection_range)
 from .measures import (PointSet, _child_count_sequence,
                        generate_cantor_measure, radial_projection_covering)
 
@@ -44,19 +46,15 @@ def _direction_cantor(s, steps, rng):
 @dataclass
 class FurstenbergConfig:
     mu: object
-    tube_cells: dict        # (ix, iy) of a mu-cell -> (theta_idx, r_idx) arrays
+    tube_cells: dict        # (ix, iy) of a mu-cell -> PointSet of tube cells
     s: float
     t: float
     delta: float
     seed: int
 
     def union_cells(self):
-        ix = np.concatenate([v[0] for v in self.tube_cells.values()])
-        iy = np.concatenate([v[1] for v in self.tube_cells.values()])
-        return PointSet(LINESPACE, self.delta, ix, iy)
-
-    def family(self, key):
-        ix, iy = self.tube_cells[key]
+        ix = np.concatenate([v.ix for v in self.tube_cells.values()])
+        iy = np.concatenate([v.iy for v in self.tube_cells.values()])
         return PointSet(LINESPACE, self.delta, ix, iy)
 
 
@@ -83,12 +81,9 @@ def build_furstenberg(s, t, delta, seed):
         key = (int(mu.ix[k]), int(mu.iy[k]))
         rng = np.random.default_rng([seed, key[0], key[1]])
         thetas = _direction_cantor(s, steps, rng)
-        rs = pts[k, 0] * np.cos(2.0 * math.pi * thetas) \
-            + pts[k, 1] * np.sin(2.0 * math.pi * thetas)
-        tix = np.floor(thetas / delta).astype(np.int64)
-        tiy = np.floor((rs + 2.0) / delta).astype(np.int64)
-        code = np.unique(_cell_codes(LINESPACE, level, tix, tiy))
-        tube_cells[key] = _cell_index(LINESPACE, level, code)
+        tube_cells[key] = PointSet(
+            LINESPACE, delta, np.floor(thetas / delta).astype(np.int64),
+            np.floor((project(pts[k], thetas) + 2.0) / delta).astype(np.int64))
 
     cfg = FurstenbergConfig(mu, tube_cells, s, t, delta, seed)
     _verify_furstenberg(cfg)
@@ -96,18 +91,13 @@ def build_furstenberg(s, t, delta, seed):
 
 
 def _verify_furstenberg(cfg):
-    pts = cfg.mu.centers()
-    keys = list(cfg.tube_cells)
-    for k, key in enumerate(keys):
-        fam = cfg.family(key)
+    for p, (key, fam) in zip(cfg.mu.centers(), cfg.tube_cells.items()):
         if smallest_delta_s_constant(fam, cfg.s) > 16.0:
             raise AssertionError(
                 f"tube family at cell {key} too concentrated for exponent {cfg.s}")
         # parameter cells sit on the projection graph of the cell center
         c = fam.centers()
-        graph = pts[k, 0] * np.cos(2.0 * math.pi * c[:, 0]) \
-            + pts[k, 1] * np.sin(2.0 * math.pi * c[:, 0])
-        if np.abs(c[:, 1] - graph).max() > 2.0 * cfg.delta:
+        if np.abs(c[:, 1] - project(p, c[:, 0])).max() > 2.0 * cfg.delta:
             raise AssertionError(f"tube family at cell {key} strays off its graph")
 
 
@@ -127,7 +117,7 @@ def furstenberg_content(cfg, sigma):
 class SlicingConfig:
     nu: object              # measure on E (dimension s)
     mu: object              # measure on F (dimension t)
-    tubes: dict             # E-cell (ix, iy) -> (theta_idx, r_idx) arrays
+    tubes: dict             # E-cell (ix, iy) -> PointSet of tube cells
     C: float                # 1 / (minimal tube-union mass)
     s: float
     t: float
@@ -176,13 +166,12 @@ def build_slicing(s, t, tau, delta, seed):
 
     f_lo, f_hi = _column_ranges(fpts, level)
 
-    epts = nu.centers()
+    e_lo, e_hi = _column_ranges(nu.centers(), level)
     tubes = {}
     masses = []
     for k in range(len(nu)):
         key = (int(nu.ix[k]), int(nu.iy[k]))
-        x_lo, x_hi = projection_range(epts[k], np.arange(ncol) * delta,
-                                      (np.arange(ncol) + 1) * delta)
+        x_lo, x_hi = e_lo[:, k], e_hi[:, k]
         cix, ciy = [], []
         col_cells = {}
         for c in range(ncol):
@@ -202,7 +191,8 @@ def build_slicing(s, t, tau, delta, seed):
                 ciy.append(ks.astype(np.int64))
         if not cix:
             raise ValueError(f"mass condition unachievable at E-cell {key}")
-        tubes[key] = (np.concatenate(cix), np.concatenate(ciy))
+        tubes[key] = PointSet(LINESPACE, delta, np.concatenate(cix),
+                              np.concatenate(ciy))
 
         covered = np.zeros(len(mu), dtype=bool)
         for c, ks in col_cells.items():
@@ -249,8 +239,8 @@ def slicing_tube_content(cfg):
     exponent = cfg.tau - 1.0
     seen = {}
     for key in sorted(cfg.tubes):
-        tix, tiy = cfg.tubes[key]
-        for c, kcell in zip(tix, tiy):
+        fam = cfg.tubes[key]
+        for c, kcell in zip(fam.ix, fam.iy):
             tc = (int(c), int(kcell))
             if tc in seen:
                 val = seen[tc]
@@ -271,26 +261,22 @@ def config_to_record(cfg):
     from .measures import measure_to_record
 
     if isinstance(cfg, FurstenbergConfig):
-        return {
-            "kind": "furstenberg",
-            "seed": cfg.seed,
-            "params": {"s": cfg.s, "t": cfg.t, "delta": cfg.delta},
-            "mu": measure_to_record(cfg.mu),
-            "tubes": {f"{k[0]},{k[1]}": np.column_stack(v).tolist()
-                      for k, v in sorted(cfg.tube_cells.items())},
-        }
-    if isinstance(cfg, SlicingConfig):
-        return {
-            "kind": "slicing",
-            "seed": cfg.seed,
-            "params": {"s": cfg.s, "t": cfg.t, "tau": cfg.tau,
-                       "delta": cfg.delta, "C": cfg.C},
-            "nu": measure_to_record(cfg.nu),
-            "mu": measure_to_record(cfg.mu),
-            "tubes": {f"{k[0]},{k[1]}": np.column_stack(v).tolist()
-                      for k, v in sorted(cfg.tubes.items())},
-        }
-    raise TypeError("expected a FurstenbergConfig or SlicingConfig")
+        rec = {"kind": "furstenberg", "seed": cfg.seed,
+               "params": {"s": cfg.s, "t": cfg.t, "delta": cfg.delta},
+               "mu": measure_to_record(cfg.mu)}
+        families = cfg.tube_cells
+    elif isinstance(cfg, SlicingConfig):
+        rec = {"kind": "slicing", "seed": cfg.seed,
+               "params": {"s": cfg.s, "t": cfg.t, "tau": cfg.tau,
+                          "delta": cfg.delta, "C": cfg.C},
+               "nu": measure_to_record(cfg.nu),
+               "mu": measure_to_record(cfg.mu)}
+        families = cfg.tubes
+    else:
+        raise TypeError("expected a FurstenbergConfig or SlicingConfig")
+    rec["tubes"] = {f"{k[0]},{k[1]}": np.column_stack([v.ix, v.iy]).tolist()
+                    for k, v in sorted(families.items())}
+    return rec
 
 
 def _tube_concentration(P, delta, n_directions=64):
@@ -303,8 +289,7 @@ def _tube_concentration(P, delta, n_directions=64):
     pts = P.centers()
     worst = 0.0
     for k in range(n_directions):
-        a = math.pi * k / n_directions
-        proj = pts[:, 0] * math.cos(a) + pts[:, 1] * math.sin(a)
+        proj = project(pts, k / (2 * n_directions))  # angle pi k / n_directions
         bins = np.floor(proj / (2.0 * delta)).astype(np.int64)
         _, counts = np.unique(bins, return_counts=True)
         worst = max(worst, counts.max() / len(P))

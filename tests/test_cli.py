@@ -82,15 +82,17 @@ def test_invalid_parameter_exit_2(tmp_path, capsys):
     assert code == 2
     assert "exponent t must lie in (1, 2)" in capsys.readouterr().err
     # the grid side is checked before any grid is built
-    for command, n in (("xray-check", "4096"), ("smoothing", "4096"),
-                       ("smoothing", "100"), ("xray-check", "8")):
+    # (xray-check also builds a grid of side n/2)
+    for command, n, low in (("xray-check", "4096", 32),
+                            ("smoothing", "4096", 16), ("smoothing", "100", 16),
+                            ("xray-check", "8", 32), ("xray-check", "16", 32)):
         code = cli.main([command, "--n", n, "--out", str(tmp_path)])
         assert code == 2
-        assert "--n must be a power of two from 16 to 512" in \
+        assert f"--n must be a power of two from {low} to 512" in \
             capsys.readouterr().err
     # a given flag reaches the experiment's own range check, never a default
     for argv, message in ((["slicing", "--s", "0"], "need s in (0, 1]"),
-                          (["radial", "--t", "0"], "need 0 < s <= 2"),
+                          (["radial", "--t", "0"], "infeasible dimension 0.0"),
                           (["furstenberg", "--s", "0.5"], "--s and --t"),
                           (["furstenberg", "--t", "1.5"], "--s and --t"),
                           (["furstenberg", "--s", "0", "--t", "1.5"],
@@ -98,6 +100,22 @@ def test_invalid_parameter_exit_2(tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_content_csv_fills_every_column(tmp_path):
+    # the content report mixes three fixture rows with the oracle rows; the
+    # header holds the keys of both and each row fills its own columns
+    assert cli.main(["content", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "content.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    oracle_rows = [r for r in rows if r["oracle"]]
+    assert len(oracle_rows) == 100
+    assert all(r["dp"] and r["oracle_value"] and r["agree"] == "True"
+               for r in oracle_rows)
+    assert all(r["value"] and r["exact"] == "True"
+               for r in rows if not r["oracle"])
+    assert "None" not in "".join(lines)
 
 
 def test_generator_atom_cap_exit_2(tmp_path, capsys):

@@ -3,13 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inclab.content import (dyadic_content,
                             extract_katz_tao_subset, multiscale_cover,
                             smallest_delta_s_constant,
                             smallest_katz_tao_constant)
 from inclab.experiments import content_cover_lp, enumerate_cover_min
-from inclab.geometry import PLANE
+from inclab.geometry import LINESPACE, PLANE, grid_shape, level_for_resolution
 from inclab.measures import PointSet, generate_cantor_measure
 
 
@@ -139,16 +141,27 @@ def test_enumeration_cap_checked_before_building_product():
     assert peak < 20e6
 
 
-def test_content_against_lp_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        n = int(rng.integers(50, 1500))
-        P = PointSet(PLANE, 2.0 ** -8,
-                     rng.integers(100, 900, n), rng.integers(100, 900, n))
-        s = float(rng.uniform(0.4, 2.0))
-        dp = dyadic_content(P, s, max_levels_up=4)
-        lp = content_cover_lp(P, s)
-        assert dp.value == pytest.approx(lp, rel=1e-6, abs=1e-9)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_content_against_lp_oracle(data):
+    # up to 400 cells, uniform in a box of 2 to 64 cells a side, on either
+    # root; the drawn seed places them, so the sets stay dense as they shrink
+    root = data.draw(st.sampled_from([PLANE, LINESPACE]))
+    delta = 2.0 ** -data.draw(st.integers(4, 8))
+    nx, ny = grid_shape(root, level_for_resolution(root, delta))
+    span = data.draw(st.integers(2, 64))
+    n = data.draw(st.integers(1, 400))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    def coords(size):
+        lo = data.draw(st.integers(0, max(0, size - span)))
+        return lo + rng.integers(0, min(span, size), n)
+
+    P = PointSet(root, delta, coords(nx), coords(ny))
+    s = data.draw(st.floats(0.4, 2.0))
+    dp = dyadic_content(P, s, max_levels_up=4)
+    lp = content_cover_lp(P, s)
+    assert dp.value == pytest.approx(lp, rel=1e-6, abs=1e-9)
 
 
 def test_katz_tao_constant_examples():

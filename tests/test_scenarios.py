@@ -13,7 +13,7 @@ def test_furstenberg_densest_case():
     # full-dimensional measure with all directions: family sizes near 1/delta
     delta = 2.0 ** -6
     cfg = build_furstenberg(1.0, 2.0, delta, seed=0)
-    sizes = [len(v[0]) for v in cfg.tube_cells.values()]
+    sizes = [len(v) for v in cfg.tube_cells.values()]
     target = 1.0 / delta
     assert all(target / 4 <= sz <= 4 * target for sz in sizes)
 
@@ -22,7 +22,7 @@ def test_furstenberg_generic_fixture():
     delta = 2.0 ** -7
     cfg = build_furstenberg(0.5, 1.6, delta, seed=1)
     # direction counts near 2^(7 * 0.5), within the stated factor
-    sizes = [len(v[0]) for v in cfg.tube_cells.values()]
+    sizes = [len(v) for v in cfg.tube_cells.values()]
     target = 2.0 ** 3.5
     assert all(target / 8 <= sz <= 8 * target for sz in sizes)
 
@@ -32,8 +32,8 @@ def test_furstenberg_determinism():
     b = build_furstenberg(0.8, 1.4, 2.0 ** -6, seed=5)
     assert sorted(a.tube_cells) == sorted(b.tube_cells)
     for key in a.tube_cells:
-        assert np.array_equal(a.tube_cells[key][0], b.tube_cells[key][0])
-        assert np.array_equal(a.tube_cells[key][1], b.tube_cells[key][1])
+        assert np.array_equal(a.tube_cells[key].ix, b.tube_cells[key].ix)
+        assert np.array_equal(a.tube_cells[key].iy, b.tube_cells[key].iy)
 
 
 def test_furstenberg_content_monotone_in_sigma():
@@ -50,7 +50,7 @@ def test_furstenberg_single_point_lower_bound():
     delta = 2.0 ** -7
     cfg = build_furstenberg(0.7, 1.9, delta, seed=3)
     key = sorted(cfg.tube_cells)[0]
-    fam = cfg.family(key)
+    fam = cfg.tube_cells[key]
     sigma = 0.5
     content = dyadic_content(fam, sigma + 1.0).value
     extracted = extract_katz_tao_subset(fam, sigma + 1.0)
