@@ -10,6 +10,7 @@ produce byte-identical artifacts.
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,18 +26,22 @@ MAX_GRID_N = 512  # the desk grid side; transforms cost O(n^3)
 
 
 def _parse_deltas(text):
+    bad = ValueError(f"bad delta list: {text!r}")
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        if "^" in tok:
-            base, expo = tok.split("^")
-            out.append(float(base) ** float(expo))
-        else:
-            out.append(float(tok))
-    if not out or any(d <= 0 for d in out):
-        raise ValueError(f"bad delta list: {text!r}")
+        try:
+            if "^" in tok:
+                base, expo = tok.split("^")
+                out.append(math.pow(float(base), float(expo)))
+            else:
+                out.append(float(tok))
+        except (ValueError, OverflowError):
+            raise bad from None
+    if not out or not all(math.isfinite(d) and d > 0 for d in out):
+        raise bad
     return tuple(out)
 
 

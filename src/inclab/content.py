@@ -27,10 +27,6 @@ class ContentResult:
     cover: list
     exponent: float
 
-    def to_record(self):
-        return {"s": self.exponent, "value": self.value,
-                "cover": [(sq.level, sq.ix, sq.iy) for sq in self.cover]}
-
 
 @dataclass
 class MultiscaleCover:

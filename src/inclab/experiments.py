@@ -22,6 +22,13 @@ from .geometry import (LINESPACE, PLANE, grid_shape, level_for_resolution,
 
 DESK_DELTAS = [2.0 ** -k for k in range(5, 10)]
 
+# Acceptance rules of the experiments.
+SMOOTHING_BAND = 50.0  # largest max/min smoothing ratio over the bumps, per s
+LEMMA4_SAFETY = 1.01  # slack on the majorant against the incidence count
+SLOPE_MIN = -0.1  # "no decay": least log-log slope of a content across scales
+FURSTENBERG_FLOOR = 0.01  # least content, as a fraction of the mu mass
+SLICING_FLOOR = 0.005  # least max tube-slice content at every scale
+
 
 def _gaussian_bump(n, centers, widths, amps):
     def f(X, Y):
@@ -46,10 +53,10 @@ def _compact_bump(n, center, width):
     return sp.PlanarGrid.from_function(n, f)
 
 
-def _random_plane_function(rng, n, widths=(0.08, 0.16)):
+def _random_plane_function(rng, n):
     k = 3
     centers = rng.uniform(-0.6, 0.6, (k, 2))
-    ws = rng.uniform(*widths, k)
+    ws = rng.uniform(0.08, 0.16, k)
     amps = rng.uniform(0.5, 1.5, k)
     return _gaussian_bump(n, centers, ws, amps)
 
@@ -131,7 +138,7 @@ def exp_xray_check(seed=0, n=512, duality_n=256, duality_each=10):
 
 
 def exp_smoothing(seed=0, n=256, n_bumps=40,
-                  s_values=(-0.5, -0.25, 0.0, 0.25, 0.5), band=50.0):
+                  s_values=(-0.5, -0.25, 0.0, 0.25, 0.5)):
     """Norm-gain ratios of the transform over a random bump suite."""
     rng = np.random.default_rng([seed, 2])
     chi = sp.canonical_cutoff(n)
@@ -157,7 +164,7 @@ def exp_smoothing(seed=0, n=256, n_bumps=40,
                  for s in s_values},
         "max_spread": max(per_s[s][1] / per_s[s][0] for s in s_values),
     }
-    summary["pass"] = bool(summary["max_spread"] <= band)
+    summary["pass"] = bool(summary["max_spread"] <= SMOOTHING_BAND)
     return rows, summary
 
 
@@ -188,7 +195,7 @@ def exp_energy(seed=0, s_values=(0.5, 1.0, 1.5),
     return rows, summary
 
 
-def exp_lemma4(seed=0, n_fixtures=1000, safety=1.01):
+def exp_lemma4(seed=0, n_fixtures=1000):
     """Random fixtures: the angular-average bound must dominate incidences."""
     rng = np.random.default_rng([seed, 4])
     rows = []
@@ -212,7 +219,7 @@ def exp_lemma4(seed=0, n_fixtures=1000, safety=1.01):
             rng.uniform(0.1, 1.0, n_nu))
         bound = inc.lemma4_upper_bound(mu, nu, delta)
         value = inc.incidences(mu, nu, delta).value
-        ok = bound * safety >= value
+        ok = bound * LEMMA4_SAFETY >= value
         if value > 0:
             worst = min(worst, bound / value)
         violations += 0 if ok else 1
@@ -232,8 +239,8 @@ def _window_count(dim, steps):
     return 4 * int(np.prod(ms._child_count_sequence(dim, steps, 4)))
 
 
-def _auto_window(root, dim, delta, cap=ATOM_CAP):
-    """Largest 2x2 dyadic block keeping the atom count under cap.
+def _auto_window(root, dim, delta):
+    """Largest 2x2 dyadic block keeping the atom count under ATOM_CAP.
 
     Returns (x0, x1, y0, y1).  PLANE blocks are centered at the origin,
     with squares of side 1/2 and finer; LINESPACE blocks sit in
@@ -246,15 +253,14 @@ def _auto_window(root, dim, delta, cap=ATOM_CAP):
         side = side_at_level(root, w_level)
         if 0.25 / side ** dim > 14.0:
             break
-        if _window_count(dim, level - w_level) <= cap:
+        if _window_count(dim, level - w_level) <= ATOM_CAP:
             x0 = -side if root == PLANE else 0.25
             return (x0, x0 + 2 * side, -side, side)
     raise ValueError("no feasible window under the atom cap")
 
 
 def exp_incidence_sweep(seed=0, t_values=(1.1, 1.3, 1.5, 1.7, 1.9),
-                        n_seeds=3, deltas=None, slope_max=0.1,
-                        growth_max=4.0):
+                        n_seeds=3, deltas=None):
     """Incidence-to-energy ratios across the (t, seed) fixture grid.
 
     Both fixture measures carry dimension t (window sizes scaled so atom
@@ -275,7 +281,7 @@ def exp_incidence_sweep(seed=0, t_values=(1.1, 1.3, 1.5, 1.7, 1.9),
             nu = ms.generate_line_measure(t, resolution, seed=[seed, 6, j],
                                           theta_window=w[:2], r_window=w[2:])
             table = inc.inequality_sweep(mu, nu, t, deltas)
-            summ = table.summary(slope_max=slope_max, growth_max=growth_max)
+            summ = table.summary()
             summ["seed_index"] = j
             fixture_summaries.append(summ)
             for r in table.rows:
@@ -291,7 +297,11 @@ def exp_incidence_sweep(seed=0, t_values=(1.1, 1.3, 1.5, 1.7, 1.9),
 # ---------------------------------------------------------------------------
 # content oracles
 
-def content_cover_lp(P, s, max_levels_up=4):
+ORACLE_LEVELS_UP = 4  # cover squares reach at most this many levels up
+ENUM_CAP = 200000  # cover combinations enumerate_cover_min may build
+
+
+def content_cover_lp(P, s):
     """Covering LP relaxation solved exactly; integral for laminar families.
 
     Leaf-ancestor incidence matrices have the consecutive-ones property in
@@ -300,7 +310,7 @@ def content_cover_lp(P, s, max_levels_up=4):
     """
     if len(P) == 0:
         return 0.0
-    top = max(0, P.level - max_levels_up)
+    top = max(0, P.level - ORACLE_LEVELS_UP)
     leaves = list(zip(P.ix.tolist(), P.iy.tolist()))
     nodes = {}
     for a, b in leaves:
@@ -325,11 +335,11 @@ def content_cover_lp(P, s, max_levels_up=4):
     return float(res.fun)
 
 
-def enumerate_cover_min(P, s, max_levels_up=4, cap=200000):
+def enumerate_cover_min(P, s):
     """Exhaustive minimum over antichain covers (small sparse sets only)."""
     if len(P) == 0:
         return 0.0
-    top = max(0, P.level - max_levels_up)
+    top = max(0, P.level - ORACLE_LEVELS_UP)
     children = {}
     roots = set()
     for a, b in zip(P.ix.tolist(), P.iy.tolist()):
@@ -353,7 +363,7 @@ def enumerate_cover_min(P, s, max_levels_up=4, cap=200000):
             sub = covers(ch)
             # check before building the product, which can be far over cap
             count[0] += len(combos) * len(sub)
-            if count[0] > cap:
+            if count[0] > ENUM_CAP:
                 raise RuntimeError("enumeration cap exceeded")
             combos = [c + v for c in combos for v in sub]
         options.extend(combos)
@@ -389,7 +399,7 @@ def exp_content(seed=0, n_enum=60, n_lp=40):
             level = int(rng.integers(8, 11))
             P = _random_point_set(rng, level, int(rng.integers(100, 4096)), 48)
         s = float(rng.uniform(0.4, 2.0))
-        dp = ct.dyadic_content(P, s, max_levels_up=4)
+        dp = ct.dyadic_content(P, s, max_levels_up=ORACLE_LEVELS_UP)
         if use_enum:
             try:
                 oracle = enumerate_cover_min(P, s)
@@ -424,8 +434,7 @@ def exp_content(seed=0, n_enum=60, n_lp=40):
 
 
 def exp_furstenberg(seed=0, fixtures=((0.5, 1.6), (0.8, 1.4), (1.0, 1.2)),
-                    deltas=(2.0 ** -5, 2.0 ** -6, 2.0 ** -7, 2.0 ** -8),
-                    slope_min=-0.1, floor_factor=0.01):
+                    deltas=(2.0 ** -5, 2.0 ** -6, 2.0 ** -7, 2.0 ** -8)):
     """Union tube-family content across scales: no decay, uniform floor."""
     rows = []
     fixture_summaries = []
@@ -441,19 +450,18 @@ def exp_furstenberg(seed=0, fixtures=((0.5, 1.6), (0.8, 1.4), (1.0, 1.2)),
             rows.append({"s": s, "t": t, "sigma": sigma, "delta": d,
                          "content": v, "mu_total": cfg.mu.total})
         slope = inc.fit_slope([1.0 / d for d in deltas], values)
-        floor_ok = all(v >= floor_factor * tot
+        floor_ok = all(v >= FURSTENBERG_FLOOR * tot
                        for v, tot in zip(values, totals))
         fixture_summaries.append({"s": s, "t": t, "slope": slope,
                                   "min_content": min(values),
-                                  "pass": bool(slope >= slope_min and floor_ok)})
+                                  "pass": bool(slope >= SLOPE_MIN and floor_ok)})
     summary = {"fixtures": fixture_summaries,
                "pass": bool(all(f["pass"] for f in fixture_summaries))}
     return rows, summary
 
 
 def exp_slicing(seed=0, s=0.6, t=1.6, tau=1.3,
-                deltas=(2.0 ** -5, 2.0 ** -6, 2.0 ** -7, 2.0 ** -8),
-                slope_min=-0.1, floor=0.005):
+                deltas=(2.0 ** -5, 2.0 ** -6, 2.0 ** -7, 2.0 ** -8)):
     """Max tube-slice content across scales: no decay, absolute floor."""
     rows = []
     values = []
@@ -467,7 +475,8 @@ def exp_slicing(seed=0, s=0.6, t=1.6, tau=1.3,
                      "witness_tube": str(res.tube_cell)})
     slope = inc.fit_slope([1.0 / d for d in deltas], values)
     summary = {"slope": slope, "min_value": min(values),
-               "pass": bool(slope >= slope_min and min(values) >= floor)}
+               "pass": bool(slope >= SLOPE_MIN
+                            and min(values) >= SLICING_FLOOR)}
     return rows, summary
 
 

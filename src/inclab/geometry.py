@@ -1,10 +1,12 @@
-"""Lines, tubes, dyadic squares and the renormalizing rescale map.
+"""Line projections and dyadic squares.
 
 Lines in the plane are parametrized by (theta, r) with theta in [0, 1)
 revolutions: the line is {z : z . e_theta = r} where
-e_theta = (cos 2*pi*theta, sin 2*pi*theta).  Two root boxes carry dyadic
-decompositions: the plane box [-2, 2)^2 and the line-parameter box
-[0, 1) x [-2, 2).
+e_theta = (cos 2*pi*theta, sin 2*pi*theta).  A point p lies in the
+delta-tube of the line (theta, r) when |project(p, theta) - r| <= delta, and
+in the tube of a line-parameter cell when `projection_range` over the cell's
+angles meets its offsets.  Two root boxes carry dyadic decompositions: the
+plane box [-2, 2)^2 and the line-parameter box [0, 1) x [-2, 2).
 """
 
 import math
@@ -15,10 +17,7 @@ import numpy as np
 PLANE = "PLANE"
 LINESPACE = "LINESPACE"
 
-# Halfwidth multiplier for the corner tube hull of a dyadic tube.  For points
-# of T(Q) in B(1) the sharp factor is 2*pi + 1; inside B(2) it is 4*pi + 1,
-# so 10 only covers B(1) with slack.
-HULL_FACTOR = 10.0
+COVER_MAX_LEVEL = 40  # dyadic_cover_of_box: deeper box edges are not dyadic
 
 
 def project(p, theta):
@@ -30,28 +29,6 @@ def project(p, theta):
     a = 2.0 * math.pi * np.asarray(theta)
     p = np.asarray(p, dtype=float)
     return p[..., 0] * np.cos(a) + p[..., 1] * np.sin(a)
-
-
-@dataclass(frozen=True)
-class LineParam:
-    theta: float  # revolutions, in [0, 1)
-    r: float      # signed offset, |r| <= 2
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta < 1.0):
-            raise ValueError("theta must lie in [0, 1)")
-        if abs(self.r) > 2.0:
-            raise ValueError("offset r must lie in [-2, 2]")
-
-
-@dataclass(frozen=True)
-class Tube:
-    line: LineParam
-    halfwidth: float
-
-    def __post_init__(self):
-        if self.halfwidth <= 0.0:
-            raise ValueError("halfwidth must be positive")
 
 
 def root_extent(root):
@@ -139,48 +116,10 @@ class DyadicSquare:
         ylo = y0 + self.iy * s
         return xlo, xlo + s, ylo, ylo + s
 
-    @property
-    def center(self):
-        xlo, xhi, ylo, yhi = self.bounds
-        return np.array([0.5 * (xlo + xhi), 0.5 * (ylo + yhi)])
-
     def children(self):
         return [DyadicSquare(self.root, self.level + 1,
                              2 * self.ix + dx, 2 * self.iy + dy)
                 for dy in (0, 1) for dx in (0, 1)]
-
-
-def cell_containing(root, level, x, y):
-    """The level-`level` dyadic square containing the point (x, y)."""
-    (x0, x1), (y0, y1) = root_extent(root)
-    if not (x0 <= x < x1 and y0 <= y < y1):
-        raise ValueError(f"point ({x}, {y}) outside the {root} root box")
-    s = side_at_level(root, level)
-    return DyadicSquare(root, level, int((x - x0) / s), int((y - y0) / s))
-
-
-@dataclass(frozen=True)
-class DyadicTube:
-    """T(Q): the union of all lines whose (theta, r) parameter lies in Q."""
-
-    square: DyadicSquare
-
-    def __post_init__(self):
-        if self.square.root != LINESPACE:
-            raise ValueError("dyadic tube parameter square must have LINESPACE root")
-
-    @property
-    def resolution(self):
-        return self.square.side
-
-
-def dist_to_line(p, line):
-    """Distance from a planar point to the line (= |p . e_theta - r|)."""
-    return float(abs(project(np.asarray(p, dtype=float), line.theta) - line.r))
-
-
-def tube_contains(p, tube):
-    return dist_to_line(p, tube.line) <= tube.halfwidth
 
 
 def projection_range(p, theta_lo, theta_hi):
@@ -210,33 +149,7 @@ def projection_range(p, theta_lo, theta_hi):
     return lo, hi
 
 
-def dyadic_tube_contains(p, dt):
-    """Whether some line with parameters in dt.square passes through p.
-
-    Decided by the exact projection range over the square's theta-interval;
-    tolerance 2^-40 * side absorbs roundoff.
-    """
-    sq = dt.square
-    tlo, thi, rlo, rhi = sq.bounds
-    lo, hi = projection_range(p, tlo, thi)
-    tol = sq.side * 2.0 ** -40
-    return bool(lo <= rhi + tol) and bool(hi >= rlo - tol)
-
-
-def dyadic_tube_hull(dt):
-    """Corner tube containing T(Q) near the origin.
-
-    Returns the tube around the line at Q's lower-left corner with halfwidth
-    10 * side(Q).  The factor 10 covers every point of T(Q) inside B(1);
-    over all of B(2) the sharp factor is 4*pi + 1 (reached by points at
-    distance 2 from the origin moving at full angular speed).
-    """
-    sq = dt.square
-    tlo, _, rlo, _ = sq.bounds
-    return Tube(LineParam(tlo, rlo), HULL_FACTOR * sq.side)
-
-
-def dyadic_cover_of_box(root, x_lo, x_hi, y_lo, y_hi, max_level=40):
+def dyadic_cover_of_box(root, x_lo, x_hi, y_lo, y_hi):
     """Maximal dyadic squares tiling the half-open box [x_lo,x_hi) x [y_lo,y_hi).
 
     The box edges must be dyadic (multiples of some cell side); raises
@@ -255,7 +168,7 @@ def dyadic_cover_of_box(root, x_lo, x_hi, y_lo, y_hi, max_level=40):
         if x_lo <= xlo and xhi <= x_hi and y_lo <= ylo and yhi <= y_hi:
             out.append(sq)
             return
-        if sq.level >= max_level:
+        if sq.level >= COVER_MAX_LEVEL:
             raise ValueError("box edges are not dyadic")
         for ch in sq.children():
             visit(ch)
@@ -265,44 +178,3 @@ def dyadic_cover_of_box(root, x_lo, x_hi, y_lo, y_hi, max_level=40):
         for ix in range(nx):
             visit(DyadicSquare(root, 0, ix, iy))
     return out
-
-
-def rescale_measure(mu, Q, t):
-    """Restrict mu to 10Q, map 10Q affinely onto [0,1]^2, reweight by scale^-t.
-
-    10Q is the concentric dilate of Q with side 10*side(Q).  Weights are
-    multiplied by side(10Q)^-t, which preserves a t-dimensional ball bound
-    exactly.  Atoms are snapped to the dyadic grid fine enough that distinct
-    atoms stay distinct; an empty restriction yields the zero measure.
-    """
-    from .measures import PlanarAtomMeasure
-
-    if Q.root != PLANE:
-        raise ValueError("rescale window must be a PLANE square")
-    if not (0.0 < t <= 2.0):
-        raise ValueError("exponent t must lie in (0, 2]")
-
-    big = 10.0 * Q.side
-    cx, cy = Q.center
-    x_lo, y_lo = cx - 0.5 * big, cy - 0.5 * big
-
-    pts = mu.centers()
-    keep = ((pts[:, 0] >= x_lo) & (pts[:, 0] < x_lo + big)
-            & (pts[:, 1] >= y_lo) & (pts[:, 1] < y_lo + big))
-    if not keep.any():
-        return PlanarAtomMeasure.empty(_snap_resolution(mu.resolution, big))
-
-    mapped = (pts[keep] - np.array([x_lo, y_lo])) / big
-    w = mu.weights[keep] * big ** (-t)
-
-    delta_out = _snap_resolution(mu.resolution, big)
-    ix = np.floor((mapped[:, 0] + 2.0) / delta_out).astype(np.int64)
-    iy = np.floor((mapped[:, 1] + 2.0) / delta_out).astype(np.int64)
-    return PlanarAtomMeasure(delta_out, ix, iy, w)
-
-
-def _snap_resolution(delta_in, scale):
-    # Output grid pitch: finest power of two not above the mapped atom
-    # spacing delta_in/scale, so snapping cannot merge distinct atoms.
-    j = math.ceil(math.log2(scale / delta_in) - 1e-12)
-    return 2.0 ** (-j)

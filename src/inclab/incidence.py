@@ -24,6 +24,12 @@ from .measures import riesz_energy_direct
 # coarsest dyadic scale 2^-5 used by the acceptance experiments.
 SWEEP_DELTA_MAX = 0.25 / 7.0
 
+SWEEP_SLOPE_MAX = 0.1  # largest log-log slope of the ratio against 1/delta
+SWEEP_GROWTH_MAX = 4.0  # largest ratio, as a multiple of the coarsest one
+
+MAJORANT_SAMPLES = 257  # angles sampled across each 6 delta window
+MAJORANT_BISECTIONS = 45  # bisection steps per sampled crossing
+
 
 @dataclass
 class IncidenceResult:
@@ -82,16 +88,16 @@ def incidences(mu, nu, delta):
     return IncidenceResult(delta, total)
 
 
-def _interval_measure(theta0, r0, pts, delta, grid=257, iters=45):
+def _interval_measure(theta0, r0, pts, delta):
     """Lebesgue measure of {theta : |(theta, proj_theta(p)) - (theta0, r0)| <= 3 delta}
     for each point p, resolved by dense sampling plus vectorized bisection.
 
     Roots are located to ~3 delta * 2^-45; inside-intervals narrower than
-    the sampling step (6 delta / grid) arise only at tangencies of the
+    the sampling step (6 delta / 256) arise only at tangencies of the
     3 delta ball and can be missed, which only lowers the returned measure.
     """
     n = pts.shape[0]
-    ts = theta0 + 3.0 * delta * np.linspace(-1.0, 1.0, grid)
+    ts = theta0 + 3.0 * delta * np.linspace(-1.0, 1.0, MAJORANT_SAMPLES)
     inside = _inside(ts, pts[:, None, :], theta0, r0, delta)
 
     # crossings in point order, and per point in angle order
@@ -101,7 +107,7 @@ def _interval_measure(theta0, r0, pts, delta, grid=257, iters=45):
         hi = ts[ki + 1].copy()
         crossing_pts = pts[pi_idx]
         lo_in = _inside(lo, crossing_pts, theta0, r0, delta)
-        for _ in range(iters):
+        for _ in range(MAJORANT_BISECTIONS):
             mid = 0.5 * (lo + hi)
             same = _inside(mid, crossing_pts, theta0, r0, delta) == lo_in
             lo = np.where(same, mid, lo)
@@ -154,19 +160,20 @@ class RatioTable:
     rows: list  # dicts: delta, incidence, energy_mu, energy_nu, ratio
     slope: float
 
-    def summary(self, slope_max=0.1, growth_max=4.0):
+    def summary(self):
         ratios = [r["ratio"] for r in self.rows]
         coarsest = ratios[0] if ratios else 0.0
         max_ratio = max(ratios) if ratios else 0.0
-        growth_ok = (max_ratio <= growth_max * coarsest) if coarsest > 0 else True
+        growth_ok = (max_ratio <= SWEEP_GROWTH_MAX * coarsest
+                     if coarsest > 0 else True)
         return {
             "t": self.t,
             "slope": self.slope,
             "max_ratio": max_ratio,
             "coarsest_ratio": coarsest,
-            "pass_slope": bool(self.slope <= slope_max),
+            "pass_slope": bool(self.slope <= SWEEP_SLOPE_MAX),
             "pass_growth": bool(growth_ok),
-            "pass": bool(self.slope <= slope_max and growth_ok),
+            "pass": bool(self.slope <= SWEEP_SLOPE_MAX and growth_ok),
         }
 
 

@@ -72,10 +72,6 @@ class AtomMeasure(_CellSet):
             a.flags.writeable = False
         self.total = float(self.weights.sum())
 
-    @classmethod
-    def empty(cls, resolution):
-        return cls(resolution, [], [], [])
-
     def scaled(self, c):
         if c <= 0:
             raise ValueError("scale factor must be positive")
@@ -393,26 +389,3 @@ def generate_line_measure(s, delta, seed, theta_window=(0.25, 0.75),
     """
     window = (theta_window[0], theta_window[1], r_window[0], r_window[1])
     return _generate_measure(LINESPACE, s, delta, seed, window, "random")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def measure_to_record(m):
-    """Flat record {root, resolution_log2, atoms}; bit-exact round trip."""
-    j = round(math.log2(1.0 / m.resolution))
-    return {
-        "root": m.root,
-        "resolution_log2": j,
-        "atoms": [[int(a), int(b), float(w)]
-                  for a, b, w in zip(m.ix, m.iy, m.weights)],
-    }
-
-
-def measure_from_record(rec):
-    delta = 2.0 ** (-int(rec["resolution_log2"]))
-    atoms = rec["atoms"]
-    ix = [a[0] for a in atoms]
-    iy = [a[1] for a in atoms]
-    w = [a[2] for a in atoms]
-    return _measure_class(rec["root"])(delta, ix, iy, w)

@@ -256,30 +256,10 @@ def slicing_tube_content(cfg):
 # ---------------------------------------------------------------------------
 # radial projections
 
-def config_to_record(cfg):
-    """Audit record of a configuration: seed, parameters, and atom lists."""
-    from .measures import measure_to_record
-
-    if isinstance(cfg, FurstenbergConfig):
-        rec = {"kind": "furstenberg", "seed": cfg.seed,
-               "params": {"s": cfg.s, "t": cfg.t, "delta": cfg.delta},
-               "mu": measure_to_record(cfg.mu)}
-        families = cfg.tube_cells
-    elif isinstance(cfg, SlicingConfig):
-        rec = {"kind": "slicing", "seed": cfg.seed,
-               "params": {"s": cfg.s, "t": cfg.t, "tau": cfg.tau,
-                          "delta": cfg.delta, "C": cfg.C},
-               "nu": measure_to_record(cfg.nu),
-               "mu": measure_to_record(cfg.mu)}
-        families = cfg.tubes
-    else:
-        raise TypeError("expected a FurstenbergConfig or SlicingConfig")
-    rec["tubes"] = {f"{k[0]},{k[1]}": np.column_stack([v.ix, v.iy]).tolist()
-                    for k, v in sorted(families.items())}
-    return rec
+TUBE_DIRECTIONS = 64  # slab directions over a half-turn in _tube_concentration
 
 
-def _tube_concentration(P, delta, n_directions=64):
+def _tube_concentration(P, delta):
     """Largest fraction of P inside one 2-delta projection slab.
 
     A set of dimension above one keeps this fraction small; a set lying
@@ -288,8 +268,8 @@ def _tube_concentration(P, delta, n_directions=64):
     """
     pts = P.centers()
     worst = 0.0
-    for k in range(n_directions):
-        proj = project(pts, k / (2 * n_directions))  # angle pi k / n_directions
+    for k in range(TUBE_DIRECTIONS):
+        proj = project(pts, k / (2 * TUBE_DIRECTIONS))  # angle pi k / 64
         bins = np.floor(proj / (2.0 * delta)).astype(np.int64)
         _, counts = np.unique(bins, return_counts=True)
         worst = max(worst, counts.max() / len(P))

@@ -423,30 +423,6 @@ def slice_identity_residual(g, sample_size=512, seed=0):
     return float(np.abs(lhs - ghat).max())
 
 
-def grid_to_record(g):
-    """Flat record of a planar or cylinder grid; row-major values.
-
-    Spectra are not serialized (they are recomputed from grids).
-    """
-    if isinstance(g, PlanarGrid):
-        return {"kind": "plane", "n": g.n, "extent": [-2.0, 2.0],
-                "values": g.values.ravel().tolist()}
-    if isinstance(g, CylinderGrid):
-        return {"kind": "cylinder", "n_theta": g.n_theta, "n_r": g.n_r,
-                "extent": [-2.0, 2.0], "values": g.values.ravel().tolist()}
-    raise TypeError("expected a PlanarGrid or CylinderGrid")
-
-
-def grid_from_record(rec):
-    if rec["kind"] == "plane":
-        n = rec["n"]
-        return PlanarGrid(np.asarray(rec["values"]).reshape(n, n))
-    if rec["kind"] == "cylinder":
-        shape = (rec["n_theta"], rec["n_r"])
-        return CylinderGrid(np.asarray(rec["values"]).reshape(shape))
-    raise ValueError(f"unknown grid kind {rec['kind']!r}")
-
-
 def canonical_cutoff(n):
     """The fixed smooth cutoff: 1 on B(1), 0 outside B(1.5), C-infinity.
 

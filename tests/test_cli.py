@@ -99,6 +99,16 @@ def test_invalid_parameter_exit_2(tmp_path, capsys):
                            "s must lie in (2 - t, 1]")):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+    # every delta must be a finite positive number, also where no command
+    # reads it
+    for command, deltas in (("incidence-sweep", "2^-6,nan"),
+                            ("incidence-sweep", "inf"),
+                            ("incidence-sweep", "10^400"),
+                            ("incidence-sweep", "-2^0.5"),
+                            ("energy", "nan")):
+        code = cli.main([command, f"--deltas={deltas}", "--out", str(tmp_path)])
+        assert code == 2
+        assert "bad delta list" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -248,11 +248,3 @@ def test_multiscale_properties_random():
         total = math.fsum(sq.side ** s
                           for fam in cov.families.values() for sq in fam)
         assert total == cov.value
-
-
-def test_content_result_record():
-    import json
-    res = dyadic_content(bottom_row(4), 1.0)
-    rec = json.loads(json.dumps(res.to_record()))
-    assert rec["s"] == 1.0 and rec["value"] == 1.0
-    assert all(len(entry) == 3 for entry in rec["cover"])

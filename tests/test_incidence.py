@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from inclab.incidence import (SWEEP_DELTA_MAX, _line_sum, fit_slope,
                               incidences, inequality_sweep, lemma4_upper_bound)
@@ -50,19 +49,18 @@ def test_incidence_far_line():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_incidence_brute_equals_bucketed_exactly(data):
-    # atoms near the origin and tubes with angles in [1/4, 3/4) and offsets
-    # in [-1, 1), all at resolution 2^-7; repeated cells merge their weights
-    def atoms(size, x_range, y_range):
-        def draw(dtype, elements):
-            return data.draw(arrays(dtype, size, elements=elements))
-        return (draw(np.int64, st.integers(*x_range)),
-                draw(np.int64, st.integers(*y_range)),
-                draw(float, st.floats(0.01, 1.0)))
+    # up to 1000 atoms near the origin and 1000 tubes with angles in
+    # [1/4, 3/4) and offsets in [-1, 1), all at resolution 2^-7; the drawn
+    # seed places them, so few cells repeat and the candidate sets are large
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
 
-    mu = PlanarAtomMeasure(2.0 ** -7, *atoms(data.draw(st.integers(1, 200)),
-                                             (200, 311), (200, 311)))
-    nu = LineParamMeasure(2.0 ** -7, *atoms(data.draw(st.integers(1, 200)),
-                                            (32, 95), (128, 383)))
+    def atoms(x_range, y_range):
+        size = data.draw(st.integers(1, 1000))
+        return (rng.integers(*x_range, size), rng.integers(*y_range, size),
+                rng.uniform(0.01, 1.0, size))
+
+    mu = PlanarAtomMeasure(2.0 ** -7, *atoms((200, 312), (200, 312)))
+    nu = LineParamMeasure(2.0 ** -7, *atoms((32, 96), (128, 384)))
     deltas = st.one_of(st.sampled_from([2.0 ** -k for k in range(3, 8)]),
                        st.floats(2.0 ** -7, 2.0 ** -3))
     for d in data.draw(st.lists(deltas, min_size=1, max_size=3)):

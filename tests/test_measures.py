@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from inclab.measures import (LineParamMeasure, PlanarAtomMeasure, PointSet,
                              _pair_energy_direct, _pair_energy_fft,
                              covering_number, frostman_constant,
                              generate_cantor_measure, generate_line_measure,
-                             measure_from_record, measure_to_record,
                              radial_projection_covering, riesz_energy_direct)
 
 
@@ -218,16 +216,6 @@ def test_generate_deterministic():
 def test_generate_infeasible():
     with pytest.raises(ValueError):
         generate_cantor_measure(2.5, 2.0 ** -5, seed=0)
-
-
-def test_serialization_round_trip():
-    m = generate_line_measure(1.2, 2.0 ** -7, seed=9)
-    blob = json.dumps(measure_to_record(m))
-    back = measure_from_record(json.loads(blob))
-    assert back.root == m.root and back.resolution == m.resolution
-    assert np.array_equal(back.ix, m.ix)
-    assert np.array_equal(back.iy, m.iy)
-    assert np.array_equal(back.weights, m.weights)  # bit-exact
 
 
 def test_measure_merges_duplicates():

@@ -149,17 +149,3 @@ def test_radial_declared_dimension_guards():
     tiny = PointSet(PLANE, delta, [10], [10])
     with pytest.raises(ValueError, match="too small"):
         radial_check(tiny, F, 0.6, delta, s=1.5, t=1.5)
-
-
-def test_config_audit_records():
-    import json
-    from inclab.scenarios import config_to_record
-    cfg = build_furstenberg(0.8, 1.4, 2.0 ** -5, seed=21)
-    rec = json.loads(json.dumps(config_to_record(cfg)))
-    assert rec["kind"] == "furstenberg"
-    assert rec["params"]["delta"] == 2.0 ** -5
-    assert len(rec["tubes"]) == len(cfg.tube_cells)
-    sl = build_slicing(0.6, 1.6, 1.3, 2.0 ** -5, seed=22)
-    rec = json.loads(json.dumps(config_to_record(sl)))
-    assert rec["kind"] == "slicing" and rec["params"]["C"] == sl.C
-    assert len(rec["nu"]["atoms"]) == len(sl.nu)

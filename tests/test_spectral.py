@@ -379,16 +379,3 @@ def test_smoothing_ratio_shares_one_transform_across_s():
               for s in s_values]
     assert_bits_equal(np.array(smoothing_ratio(g, s_values, chi)),
                       np.array(expect))
-
-
-def test_grid_serialization_round_trip():
-    from inclab.spectral import grid_from_record, grid_to_record
-    import json
-    g = gaussian_grid(32)
-    back = grid_from_record(json.loads(json.dumps(grid_to_record(g))))
-    assert isinstance(back, PlanarGrid)
-    assert np.array_equal(back.values, g.values)
-    f = CylinderGrid(np.arange(32.0 * 16).reshape(32, 16))
-    back = grid_from_record(json.loads(json.dumps(grid_to_record(f))))
-    assert back.n_theta == 32 and back.n_r == 16
-    assert np.array_equal(back.values, f.values)
