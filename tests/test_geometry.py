@@ -7,11 +7,17 @@ from inclab.geometry import (PLANE, dyadic_cover_of_box, project,
                              projection_range)
 
 
-def test_project_values():
-    # distances |project(p, theta) - r| from a point to the line (theta, r)
+def test_dist_to_line_on_line():
+    # the distance from p to the line (theta, r) is |project(p, theta) - r|
     assert project((0.0, 0.0), 0.0) == 0.0
+
+
+def test_dist_to_line_axis():
     # e_theta = (0, 1) at a quarter revolution
     assert project((0.0, 1.0), 0.25) == pytest.approx(1.0)
+
+
+def test_dist_to_line_oblique():
     # p.e = (0.3 + 0.4) cos(pi/4) = 0.7/sqrt(2); offset 0.1
     expect = 0.7 / math.sqrt(2.0) - 0.1
     assert project((0.3, 0.4), 0.125) - 0.1 == pytest.approx(expect, abs=1e-12)
@@ -67,7 +73,7 @@ def test_projection_range_matches_dense_sampling():
     assert projection_range((0.0, 0.0), 0.1, 0.7) == (0.0, 0.0)
 
 
-def test_projection_range_sweep_inversion():
+def test_dyadic_tube_contains_sweep_inversion():
     # p = (2, 0): projection 2 cos(2 pi theta) sweeps into an r-window
     # [r_lo, r_hi] exactly when theta meets [acos(r_hi/2), acos(r_lo/2)]/2pi
     level = 7
@@ -81,7 +87,11 @@ def test_projection_range_sweep_inversion():
         lo, hi = projection_range((2.0, 0.0), ix * d, (ix + 1) * d)
         expect = (ix * d <= t_hi) and ((ix + 1) * d >= t_lo)
         assert (lo <= r_hi + tol and hi >= r_lo - tol) == expect
-    # |proj| <= |p|, so r-cells beyond |p| never meet the sweep
+
+
+def test_dyadic_tube_disjoint_offsets():
+    # |proj| <= |p|, so r-cells beyond |p| never meet the sweep:
+    # theta in [3/16, 4/16), r cell [1.75, 1.8125)
     _, hi = projection_range((1.0, 0.5), 3 / 16, 4 / 16)
     assert hi < 1.75
 
