@@ -9,8 +9,8 @@ quantities behave across scales.
 """
 
 from .geometry import DyadicSquare
-from .measures import (LineParamMeasure, PlanarAtomMeasure, PointSet,
-                       covering_number, frostman_constant,
+from .measures import (CellFamilies, LineParamMeasure, PlanarAtomMeasure,
+                       PointSet, covering_number, frostman_constant,
                        generate_cantor_measure, generate_line_measure,
                        radial_projection_covering, riesz_energy_direct)
 from .content import (ContentResult, MultiscaleCover, dyadic_content,

@@ -127,7 +127,9 @@ def cmd_incidence_sweep(args):
 
 
 def cmd_energy(args):
-    return ex.exp_energy(seed=args.seed)
+    s_values = None if args.s is None else (args.s,)
+    return ex.exp_energy(seed=args.seed, **_given(s_values=s_values,
+                                                  deltas=args.deltas))
 
 
 def cmd_xray_check(args):
@@ -152,6 +154,8 @@ def cmd_slicing(args):
 
 
 def cmd_radial(args):
+    if args.deltas is not None and len(args.deltas) > 1:
+        raise ValueError("radial takes a single delta")
     delta = args.deltas[0] if args.deltas else None
     return ex.exp_radial(seed=args.seed, **_given(
         s=args.s, t=args.t, sigma=args.sigma, delta=delta))
@@ -190,6 +194,30 @@ COMMANDS = {
     "radial": cmd_radial,
     "verify": cmd_verify,
 }
+
+
+# the flags each command reads besides --config, --out, --seed and --format
+FLAGS_READ = {
+    "energy": ("s", "deltas"),
+    "incidence-sweep": ("t", "deltas"),
+    "xray-check": ("n",),
+    "smoothing": ("n",),
+    "content": (),
+    "furstenberg": ("s", "t", "deltas"),
+    "slicing": ("s", "t", "tau", "deltas"),
+    "radial": ("s", "t", "sigma", "deltas"),
+    "verify": ("scale", "threads"),
+}
+ALL_READ = ("help", "command", "config", "out", "seed", "format")
+
+
+def _check_flags_read(args, parser):
+    """Reject a flag given on the command line that the command never reads."""
+    read = ALL_READ + FLAGS_READ[args.command]
+    for action in parser._actions:
+        if (action.dest not in read
+                and getattr(args, action.dest) != action.default):
+            raise ValueError(f"{args.command} does not take --{action.dest}")
 
 
 def build_parser():
@@ -262,6 +290,7 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        _check_flags_read(args, parser)
         args = _apply_config(args, parser)
     except ValueError as e:
         print(f"invalid config: {e}", file=sys.stderr)

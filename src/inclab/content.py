@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DyadicSquare, _cell_codes, _cell_index, side_at_level
-from .measures import PointSet, _dyadic_levels
+from .geometry import (DyadicSquare, _cell_codes, _cell_index, grid_shape,
+                       side_at_level)
+from .measures import CellFamilies, PointSet, _dyadic_levels
 
 
 class CoverError(Exception):
@@ -128,13 +129,25 @@ def smallest_katz_tao_constant(P, s):
 
 
 def smallest_delta_s_constant(P, s):
-    """max over dyadic squares Q of |P cap Q| / (side(Q)^s * |P|)."""
+    """max over dyadic squares Q of |P cap Q| / (side(Q)^s * |P|).
+
+    Given a CellFamilies store, returns an array with one constant per
+    family, each the same float as a call on that family alone.
+    """
     if not (0.0 < s <= 2.0):
         raise ValueError("exponent s must lie in (0, 2]")
     if len(P) == 0:
         return 0.0
-    return max(counts.max() / (side_at_level(P.root, level) ** s * len(P))
-               for level, _, counts in _dyadic_levels(P))
+    sizes = P.sizes()
+    best = np.zeros(sizes.size)
+    for level, codes, counts in _dyadic_levels(P):
+        nx, ny = grid_shape(P.root, level)
+        # each family's squares begin at its first code at or above
+        # family * (squares per level)
+        first = np.searchsorted(codes, np.arange(sizes.size) * (nx * ny))
+        np.maximum(best, np.maximum.reduceat(counts, first)
+                   / (side_at_level(P.root, level) ** s * sizes), out=best)
+    return best if isinstance(P, CellFamilies) else best[0]
 
 
 def _morton(ix, iy, bits):

@@ -18,10 +18,25 @@ from .geometry import (LINESPACE, PLANE, _cell_codes, _cell_index,
 
 
 class _CellSet:
-    """Cells (ix, iy) of one root box at one level, merged and sorted."""
+    """Cells (ix, iy) of one root box at one level, merged and sorted.
+
+    `starts` holds the offset of each family of cells; a single set is one
+    family from cell 0, and a CellFamilies store holds many.
+    """
+
+    starts = np.zeros(1, dtype=np.int64)
+    starts.flags.writeable = False
 
     def __len__(self):
         return self.ix.size
+
+    def sizes(self):
+        """Number of cells of each family."""
+        return np.diff(self.starts, append=len(self))
+
+    def family_numbers(self):
+        """Family number of each cell."""
+        return np.repeat(np.arange(self.starts.size), self.sizes())
 
     def centers(self):
         (x0, _), (y0, _) = root_extent(self.root)
@@ -30,18 +45,23 @@ class _CellSet:
                                 y0 + (self.iy + 0.5) * d])
 
 
+def _inside_codes(root, level, ix, iy):
+    """Codes of the cells (ix, iy), checked to lie in the root box."""
+    ix = np.asarray(ix, dtype=np.int64)
+    iy = np.asarray(iy, dtype=np.int64)
+    nx, ny = grid_shape(root, level)
+    if ix.size and (ix.min() < 0 or ix.max() >= nx or iy.min() < 0 or iy.max() >= ny):
+        raise ValueError("cell outside the root box")
+    return _cell_codes(root, level, ix, iy)
+
+
 def _canonical_cells(root, level, ix, iy, weights=None):
     """Check the cells lie in the root box, merge duplicates and sort by (ix, iy).
 
     Returns (ix, iy, weights); merged cells sum their weights, and weights
     stay None when none are given.
     """
-    ix = np.asarray(ix, dtype=np.int64)
-    iy = np.asarray(iy, dtype=np.int64)
-    nx, ny = grid_shape(root, level)
-    if ix.size and (ix.min() < 0 or ix.max() >= nx or iy.min() < 0 or iy.max() >= ny):
-        raise ValueError("cell outside the root box")
-    codes = _cell_codes(root, level, ix, iy)
+    codes = _inside_codes(root, level, ix, iy)
     if weights is None:
         return (*_cell_index(root, level, np.unique(codes)), None)
     codes, inv = np.unique(codes, return_inverse=True)
@@ -117,16 +137,82 @@ class PointSet(_CellSet):
         object.__setattr__(self, "level", level)
 
 
+class CellFamilies(_CellSet):
+    """Many cell sets of one root box at one resolution, stored back to back.
+
+    Family k is the cells from `starts[k]` up to the next family's start (the
+    last one up to the end), merged and sorted by (ix, iy) as in a PointSet;
+    no family is empty.  `len` counts the cells of all families.  The
+    constructor takes cells tagged with family numbers 0, 1, ... in any
+    order; `concatenate` joins stores family by family.
+    """
+
+    def __init__(self, root, resolution, ix, iy, family):
+        level = level_for_resolution(root, resolution)
+        family = np.asarray(family, dtype=np.int64)
+        if not (np.shape(ix) == np.shape(iy) == family.shape and family.size):
+            raise ValueError("need one family number per cell, and some cells")
+        nx, ny = grid_shape(root, level)
+        keys = np.unique(family * (nx * ny)
+                         + _inside_codes(root, level, ix, iy))
+        family, codes = np.divmod(keys, nx * ny)
+        step = np.diff(family, prepend=-1)
+        if family[0] != 0 or step.max() > 1:
+            raise ValueError("family numbers must run 0, 1, ... without gaps")
+        self._set(root, resolution, level, *_cell_index(root, level, codes),
+                  np.flatnonzero(step))
+
+    def _set(self, root, resolution, level, ix, iy, starts):
+        self.root = root
+        self.resolution = float(resolution)
+        self.level = level
+        self.ix, self.iy, self.starts = ix, iy, starts
+        for a in (ix, iy, starts):
+            a.flags.writeable = False
+
+    @classmethod
+    def concatenate(cls, stores):
+        """One store holding the families of `stores`, in order."""
+        first = stores[0]
+        if any((p.root, p.resolution) != (first.root, first.resolution)
+               for p in stores):
+            raise ValueError("stores differ in root box or resolution")
+        offsets = np.cumsum([0] + [len(p) for p in stores[:-1]])
+        out = cls.__new__(cls)
+        out._set(first.root, first.resolution, first.level,
+                 np.concatenate([p.ix for p in stores]),
+                 np.concatenate([p.iy for p in stores]),
+                 np.concatenate([p.starts + o for p, o in zip(stores, offsets)]))
+        return out
+
+    def spans(self):
+        """(start, stop) of each family's cells, in family order."""
+        stops = np.append(self.starts[1:], len(self))
+        return list(zip(self.starts.tolist(), stops.tolist()))
+
+    def family(self, k):
+        """Family k as a PointSet."""
+        a, b = self.spans()[k]
+        return PointSet(self.root, self.resolution, self.ix[a:b], self.iy[a:b])
+
+
 def _dyadic_levels(cells, weights=None):
     """Per dyadic level, from the cells' own level up to the root.
 
     Yields (level, codes, values): the sorted codes of the occupied
     level-`level` squares and, per square, the number of cells it holds or,
-    with `weights` (one per cell), their total weight.
+    with `weights` (one per cell), their total weight.  When `cells` holds
+    several families, a square's code is family * (squares per level) + its
+    own code, so each family's squares stay apart and the families follow
+    one another in order.
     """
+    family = cells.family_numbers() if cells.starts.size > 1 else None
     for level in range(cells.level, -1, -1):
         code = _cell_codes(cells.root, cells.level, cells.ix, cells.iy,
                            cells.level - level)
+        if family is not None:
+            nx, ny = grid_shape(cells.root, level)
+            code += family * (nx * ny)
         if weights is None:
             yield (level, *np.unique(code, return_counts=True))
         else:

@@ -4,8 +4,9 @@ tube-family bound, the tube-slicing experiment, and radial projections.
 Generators build seeded deterministic fixtures: a planar fractal measure
 together with per-point families of dyadic tubes (non-concentrated in the
 line-parameter space), or a separated pair of fractal sets with the tube
-bundle joining them.  Both store a tube family the same way: a dict from a
-planar cell (ix, iy) to the PointSet of its line-parameter cells.  Harnesses
+bundle joining them.  Both store their tube families the same way: one
+CellFamilies store of line-parameter cells, family k running through the
+k-th cell of the planar measure (in its (ix, iy) order).  Harnesses
 then measure dyadic contents and covering numbers whose non-decay across
 scales is the quantity of interest.
 """
@@ -18,22 +19,28 @@ import numpy as np
 from .content import dyadic_content, smallest_delta_s_constant
 from .geometry import (LINESPACE, PLANE, grid_shape, level_for_resolution,
                        project, projection_range)
-from .measures import (PointSet, _child_count_sequence,
+from .measures import (CellFamilies, PointSet, _child_count_sequence,
                        generate_cantor_measure, radial_projection_covering)
 
 E_WINDOW = (-0.875, -0.625, -0.125, 0.125)
 F_WINDOW = (0.625, 0.875, -0.125, 0.125)
 
 
-def _direction_cantor(s, steps, rng):
+# build_furstenberg projects, merges and checks its families in blocks of
+# about this many cells, which bounds its temporaries
+FAMILY_BLOCK_CELLS = 2 ** 15
+
+
+def _direction_cantor(counts, rng):
     """Dyadic s-dimensional subset of [1/4, 3/4): interval center angles.
 
-    Binary subdivision keeping per-level child counts whose products track
-    2^(j*s); the surviving level-`steps` intervals have width 2^-(steps+1).
+    Binary subdivision keeping the per-level child counts `counts` (from
+    `_child_count_sequence(s, steps, 2)`, whose products track 2^(j*s)); the
+    surviving level-`steps` intervals have width 2^-(steps+1).
     """
     lows = np.array([0.25])
     width = 0.5
-    for mj in _child_count_sequence(s, steps, 2):
+    for mj in counts:
         width *= 0.5
         if mj == 2:
             lows = np.concatenate([lows, lows + width])
@@ -46,16 +53,15 @@ def _direction_cantor(s, steps, rng):
 @dataclass
 class FurstenbergConfig:
     mu: object
-    tube_cells: dict        # (ix, iy) of a mu-cell -> PointSet of tube cells
+    tube_cells: CellFamilies  # family k: the tube cells through mu-cell k
     s: float
     t: float
     delta: float
     seed: int
 
     def union_cells(self):
-        ix = np.concatenate([v.ix for v in self.tube_cells.values()])
-        iy = np.concatenate([v.iy for v in self.tube_cells.values()])
-        return PointSet(LINESPACE, self.delta, ix, iy)
+        return PointSet(LINESPACE, self.delta, self.tube_cells.ix,
+                        self.tube_cells.iy)
 
 
 def build_furstenberg(s, t, delta, seed):
@@ -73,40 +79,59 @@ def build_furstenberg(s, t, delta, seed):
         raise ValueError("s must lie in (2 - t, 1]")
     level = level_for_resolution(LINESPACE, delta)
     mu = generate_cantor_measure(t, delta, seed)
-    steps = level - 1  # direction intervals of width delta inside [1/4, 3/4)
+    # direction intervals of width delta inside [1/4, 3/4)
+    counts = _child_count_sequence(s, level - 1, 2)
 
     pts = mu.centers()
-    tube_cells = {}
-    for k in range(len(mu)):
-        key = (int(mu.ix[k]), int(mu.iy[k]))
-        rng = np.random.default_rng([seed, key[0], key[1]])
-        thetas = _direction_cantor(s, steps, rng)
-        tube_cells[key] = PointSet(
-            LINESPACE, delta, np.floor(thetas / delta).astype(np.int64),
-            np.floor((project(pts[k], thetas) + 2.0) / delta).astype(np.int64))
+    keys = list(zip(mu.ix.tolist(), mu.iy.tolist()))
+    per_block = max(1, FAMILY_BLOCK_CELLS // math.prod(counts))
+    blocks = []
+    for a in range(0, len(mu), per_block):
+        thetas = [_direction_cantor(counts,
+                                    np.random.default_rng([seed, ix, iy]))
+                  for ix, iy in keys[a:a + per_block]]
+        fams = _tube_families(pts[a:a + per_block], thetas, delta)
+        _check_families(fams, pts[a:a + per_block], keys[a:a + per_block],
+                        s, delta)
+        blocks.append(fams)
+    return FurstenbergConfig(mu, CellFamilies.concatenate(blocks),
+                             s, t, delta, seed)
 
-    cfg = FurstenbergConfig(mu, tube_cells, s, t, delta, seed)
-    _verify_furstenberg(cfg)
-    return cfg
+
+def _tube_families(pts, thetas, delta):
+    """Store of the line-parameter cells (theta, pts[j] . e_theta), family j
+    over the angles thetas[j]."""
+    family = np.repeat(np.arange(len(thetas)), [a.size for a in thetas])
+    theta = np.concatenate(thetas)
+    r = project(pts[family], theta)
+    return CellFamilies(LINESPACE, delta,
+                        np.floor(theta / delta).astype(np.int64),
+                        np.floor((r + 2.0) / delta).astype(np.int64), family)
 
 
-def _verify_furstenberg(cfg):
-    for p, (key, fam) in zip(cfg.mu.centers(), cfg.tube_cells.items()):
-        if smallest_delta_s_constant(fam, cfg.s) > 16.0:
+def _check_families(fams, pts, keys, s, delta):
+    """Raise for the first family that is too concentrated at exponent s or
+    strays off the projection graph of its point; family k belongs to the
+    point pts[k] of the cell keys[k], and concentration is reported first."""
+    dense = smallest_delta_s_constant(fams, s) > 16.0
+    # parameter cells sit on the projection graph of the cell center
+    c = fams.centers()
+    p = pts[fams.family_numbers()]
+    stray = np.maximum.reduceat(np.abs(c[:, 1] - project(p, c[:, 0])),
+                                fams.starts) > 2.0 * delta
+    bad = np.flatnonzero(dense | stray)
+    if bad.size:
+        key = keys[bad[0]]
+        if dense[bad[0]]:
             raise AssertionError(
-                f"tube family at cell {key} too concentrated for exponent {cfg.s}")
-        # parameter cells sit on the projection graph of the cell center
-        c = fam.centers()
-        if np.abs(c[:, 1] - project(p, c[:, 0])).max() > 2.0 * cfg.delta:
-            raise AssertionError(f"tube family at cell {key} strays off its graph")
+                f"tube family at cell {key} too concentrated for exponent {s}")
+        raise AssertionError(f"tube family at cell {key} strays off its graph")
 
 
 def furstenberg_content(cfg, sigma):
     """Dyadic content, at exponent sigma + 1, of the union tube-parameter set."""
     if not (0.0 <= sigma < cfg.s):
         raise ValueError("sigma must lie in [0, s)")
-    if not cfg.tube_cells:
-        return 0.0
     return dyadic_content(cfg.union_cells(), sigma + 1.0).value
 
 
@@ -117,7 +142,9 @@ def furstenberg_content(cfg, sigma):
 class SlicingConfig:
     nu: object              # measure on E (dimension s)
     mu: object              # measure on F (dimension t)
-    tubes: dict             # E-cell (ix, iy) -> PointSet of tube cells
+    tubes: CellFamilies     # family k: the tube cells through nu-cell k
+    f_lo: np.ndarray        # projection range of each F-cell center over
+    f_hi: np.ndarray        # each angle column, shape (n_columns, len(mu))
     C: float                # 1 / (minimal tube-union mass)
     s: float
     t: float
@@ -167,7 +194,7 @@ def build_slicing(s, t, tau, delta, seed):
     f_lo, f_hi = _column_ranges(fpts, level)
 
     e_lo, e_hi = _column_ranges(nu.centers(), level)
-    tubes = {}
+    tube_ix, tube_iy, family = [], [], []
     masses = []
     for k in range(len(nu)):
         key = (int(nu.ix[k]), int(nu.iy[k]))
@@ -191,8 +218,9 @@ def build_slicing(s, t, tau, delta, seed):
                 ciy.append(ks.astype(np.int64))
         if not cix:
             raise ValueError(f"mass condition unachievable at E-cell {key}")
-        tubes[key] = PointSet(LINESPACE, delta, np.concatenate(cix),
-                              np.concatenate(ciy))
+        tube_ix.extend(cix)
+        tube_iy.extend(ciy)
+        family.append(np.full(sum(a.size for a in cix), k))
 
         covered = np.zeros(len(mu), dtype=bool)
         for c, ks in col_cells.items():
@@ -206,7 +234,10 @@ def build_slicing(s, t, tau, delta, seed):
             raise ValueError(f"mass condition unachievable at E-cell {key}")
         masses.append(mass)
 
-    return SlicingConfig(nu, mu, tubes, 1.0 / min(masses), s, t, tau, delta, seed)
+    tubes = CellFamilies(LINESPACE, delta, np.concatenate(tube_ix),
+                         np.concatenate(tube_iy), np.concatenate(family))
+    return SlicingConfig(nu, mu, tubes, f_lo, f_hi, 1.0 / min(masses),
+                         s, t, tau, delta, seed)
 
 
 @dataclass
@@ -221,8 +252,7 @@ def tube_cell_members(cfg, tube_cell):
     delta = cfg.delta
     slack = 2.0 * delta
     c, kcell = tube_cell
-    fpts = cfg.mu.centers()
-    lo, hi = projection_range(fpts, c * delta, (c + 1) * delta)
+    lo, hi = cfg.f_lo[c], cfg.f_hi[c]
     r_lo = kcell * delta - 2.0 - slack
     r_hi = (kcell + 1) * delta - 2.0 + slack
     hit = (lo <= r_hi) & (hi >= r_lo)
@@ -238,10 +268,10 @@ def slicing_tube_content(cfg):
     best = SlicingContentResult(0.0, None, None)
     exponent = cfg.tau - 1.0
     seen = {}
-    for key in sorted(cfg.tubes):
-        fam = cfg.tubes[key]
-        for c, kcell in zip(fam.ix, fam.iy):
-            tc = (int(c), int(kcell))
+    fams = cfg.tubes
+    for k, (a, b) in enumerate(fams.spans()):
+        key = (int(cfg.nu.ix[k]), int(cfg.nu.iy[k]))
+        for tc in zip(fams.ix[a:b].tolist(), fams.iy[a:b].tolist()):
             if tc in seen:
                 val = seen[tc]
             else:

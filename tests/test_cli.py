@@ -72,6 +72,15 @@ def test_format_flag(tmp_path):
     assert not (tmp_path / "incidence_sweep_summary.json").exists()
 
 
+def test_energy_passes_s_and_deltas(tmp_path):
+    assert cli.main(["energy", "--s", "0.3", "--deltas", "2^-5",
+                     "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "energy.csv").read_text().strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [(r["s"], r["dim"], r["delta"]) for r in rows] == \
+        [("0.3", "0.3", "0.03125"), ("0.3", "0.7", "0.03125")]
+
+
 def test_invalid_parameter_exit_2(tmp_path, capsys):
     # precondition violations surface as invalid configuration
     code = cli.main(["incidence-sweep", "--t", "2.5", "--deltas", "2^-5",
@@ -99,8 +108,20 @@ def test_invalid_parameter_exit_2(tmp_path, capsys):
                            "s must lie in (2 - t, 1]")):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
-    # every delta must be a finite positive number, also where no command
-    # reads it
+    # a flag the command never reads exits 2 naming it, before any work
+    for argv, message in ((["content", "--s", "0.5"], "content does not take --s"),
+                          (["xray-check", "--deltas", "2^-5"],
+                           "xray-check does not take --deltas"),
+                          (["smoothing", "--t", "1.5"], "smoothing does not take --t"),
+                          (["incidence-sweep", "--s", "0.5"],
+                           "incidence-sweep does not take --s"),
+                          (["energy", "--threads", "2"], "energy does not take --threads"),
+                          (["verify", "--sigma", "0.5"], "verify does not take --sigma"),
+                          (["radial", "--deltas", "2^-6,2^-7"],
+                           "radial takes a single delta")):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+    # every delta must be a finite positive number
     for command, deltas in (("incidence-sweep", "2^-6,nan"),
                             ("incidence-sweep", "inf"),
                             ("incidence-sweep", "10^400"),

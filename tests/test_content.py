@@ -11,8 +11,9 @@ from inclab.content import (dyadic_content,
                             smallest_delta_s_constant,
                             smallest_katz_tao_constant)
 from inclab.experiments import content_cover_lp, enumerate_cover_min
-from inclab.geometry import LINESPACE, PLANE, grid_shape, level_for_resolution
-from inclab.measures import PointSet, generate_cantor_measure
+from inclab.geometry import (LINESPACE, PLANE, _cell_codes, grid_shape,
+                             level_for_resolution, side_at_level)
+from inclab.measures import CellFamilies, PointSet, generate_cantor_measure
 
 
 def bottom_row(k):
@@ -181,6 +182,72 @@ def test_delta_s_constant_examples():
                                      style="four_corner").support()
     c = smallest_delta_s_constant(cantor, 1.0)
     assert 1.0 <= c <= 16.0
+
+
+@st.composite
+def cell_families(draw):
+    """(store, [(ix, iy) as drawn, per family]) on either root.
+
+    Each family holds up to 80 cells in a box of 2 to 2^level cells a side,
+    and the store gets the cells of all families shuffled together.  Family
+    0 also holds (2a, 2b), (2a, 2b + 2) and (2a + 1, 2b): in (ix, iy) order
+    their parent codes go down and back up, so a count of runs of equal
+    codes in leaf order splits their parent square.
+    """
+    root = draw(st.sampled_from([PLANE, LINESPACE]))
+    level = draw(st.integers(2, 7))
+    n_families = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nx, ny = grid_shape(root, level)
+
+    def coords(size, span, n):
+        lo = rng.integers(0, size - span + 1)
+        return lo + rng.integers(0, span, n)
+
+    families = []
+    for _ in range(n_families):
+        span = 2 ** int(rng.integers(1, level + 1))
+        n = int(rng.integers(1, 81))
+        families.append((coords(nx, span, n), coords(ny, span, n)))
+    a = rng.integers(0, nx // 2)
+    b = rng.integers(0, (ny - 1) // 2)
+    families[0] = (np.append(families[0][0], [2 * a, 2 * a, 2 * a + 1]),
+                   np.append(families[0][1], [2 * b, 2 * b + 2, 2 * b]))
+    ix, iy = (np.concatenate(c) for c in zip(*families))
+    family = np.repeat(np.arange(n_families), [f[0].size for f in families])
+    order = rng.permutation(ix.size)
+    store = CellFamilies(root, side_at_level(root, level), ix[order],
+                         iy[order], family[order])
+    return store, families
+
+
+def brute_delta_s_constant(P, s):
+    """max over every dyadic ancestor Q of |P cap Q| / (side(Q)^s |P|)."""
+    best = 0.0
+    for up in range(P.level + 1):
+        counts = {}
+        for a, b in zip(P.ix.tolist(), P.iy.tolist()):
+            counts[a >> up, b >> up] = counts.get((a >> up, b >> up), 0) + 1
+        side = side_at_level(P.root, P.level - up)
+        best = max(best, max(counts.values()) / (side ** s * len(P)))
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell_families(), st.floats(0.05, 2.0))
+def test_family_constants_match_single_sets(case, s):
+    store, families = case
+    first = store.family(0)
+    assert np.any(np.diff(_cell_codes(first.root, first.level,
+                                      first.ix, first.iy, 1)) < 0)
+    got = smallest_delta_s_constant(store, s)
+    assert got.shape == (len(families),)
+    for k, (ix, iy) in enumerate(families):
+        P = PointSet(store.root, store.resolution, ix, iy)
+        fam = store.family(k)
+        assert np.array_equal(fam.ix, P.ix) and np.array_equal(fam.iy, P.iy)
+        one = smallest_delta_s_constant(P, s)
+        assert got[k] == one == brute_delta_s_constant(P, s)
 
 
 def test_extraction_full_grid_and_singleton():

@@ -1,19 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 
 from inclab.content import dyadic_content, extract_katz_tao_subset
-from inclab.geometry import PLANE
-from inclab.measures import PointSet, generate_cantor_measure
-from inclab.scenarios import (build_furstenberg, build_slicing,
-                              furstenberg_content, radial_check,
-                              slicing_tube_content, tube_cell_members)
+from inclab.geometry import LINESPACE, PLANE, projection_range
+from inclab.measures import CellFamilies, PointSet, generate_cantor_measure
+from inclab.scenarios import (_check_families, build_furstenberg,
+                              build_slicing, furstenberg_content,
+                              radial_check, slicing_tube_content,
+                              tube_cell_members)
 
 
 def test_furstenberg_densest_case():
     # full-dimensional measure with all directions: family sizes near 1/delta
     delta = 2.0 ** -6
     cfg = build_furstenberg(1.0, 2.0, delta, seed=0)
-    sizes = [len(v) for v in cfg.tube_cells.values()]
+    sizes = cfg.tube_cells.sizes()
+    assert sizes.size == len(cfg.mu)
     target = 1.0 / delta
     assert all(target / 4 <= sz <= 4 * target for sz in sizes)
 
@@ -22,7 +26,7 @@ def test_furstenberg_generic_fixture():
     delta = 2.0 ** -7
     cfg = build_furstenberg(0.5, 1.6, delta, seed=1)
     # direction counts near 2^(7 * 0.5), within the stated factor
-    sizes = [len(v) for v in cfg.tube_cells.values()]
+    sizes = cfg.tube_cells.sizes()
     target = 2.0 ** 3.5
     assert all(target / 8 <= sz <= 8 * target for sz in sizes)
 
@@ -30,10 +34,9 @@ def test_furstenberg_generic_fixture():
 def test_furstenberg_determinism():
     a = build_furstenberg(0.8, 1.4, 2.0 ** -6, seed=5)
     b = build_furstenberg(0.8, 1.4, 2.0 ** -6, seed=5)
-    assert sorted(a.tube_cells) == sorted(b.tube_cells)
-    for key in a.tube_cells:
-        assert np.array_equal(a.tube_cells[key].ix, b.tube_cells[key].ix)
-        assert np.array_equal(a.tube_cells[key].iy, b.tube_cells[key].iy)
+    for name in ("ix", "iy", "starts"):
+        assert np.array_equal(getattr(a.tube_cells, name),
+                              getattr(b.tube_cells, name))
 
 
 def test_furstenberg_content_monotone_in_sigma():
@@ -49,8 +52,7 @@ def test_furstenberg_single_point_lower_bound():
     # one support cell: the parameter set is an s-dimensional direction graph
     delta = 2.0 ** -7
     cfg = build_furstenberg(0.7, 1.9, delta, seed=3)
-    key = sorted(cfg.tube_cells)[0]
-    fam = cfg.tube_cells[key]
+    fam = cfg.tube_cells.family(0)  # the family of the first mu-cell
     sigma = 0.5
     content = dyadic_content(fam, sigma + 1.0).value
     extracted = extract_katz_tao_subset(fam, sigma + 1.0)
@@ -79,7 +81,9 @@ def test_slicing_separation_and_determinism():
     f = cfg.mu.centers()
     assert f[:, 0].min() - e[:, 0].max() >= 1.1
     again = build_slicing(0.6, 1.6, 1.3, 2.0 ** -6, seed=6)
-    assert sorted(cfg.tubes) == sorted(again.tubes)
+    for name in ("ix", "iy", "starts"):
+        assert np.array_equal(getattr(cfg.tubes, name),
+                              getattr(again.tubes, name))
     assert cfg.C == again.C
 
 
@@ -90,6 +94,66 @@ def test_slicing_witness_reproducible():
     members = tube_cell_members(cfg, res.tube_cell)
     again = dyadic_content(members, cfg.tau - 1.0).value
     assert again == res.value
+
+
+def test_tube_cell_members_match_fresh_projection_ranges():
+    # the stored per-column F ranges give the members that a fresh
+    # projection_range over the tube cell's angle column gives
+    cfg = build_slicing(0.6, 1.6, 1.3, 2.0 ** -6, seed=7)
+    delta = cfg.delta
+    fpts = cfg.mu.centers()
+    tube_cells = set(zip(cfg.tubes.ix.tolist(), cfg.tubes.iy.tolist()))
+    assert len(tube_cells) > 100
+    for c, kcell in sorted(tube_cells):
+        lo, hi = projection_range(fpts, c * delta, (c + 1) * delta)
+        assert np.array_equal(cfg.f_lo[c], lo)
+        assert np.array_equal(cfg.f_hi[c], hi)
+        hit = ((lo <= (kcell + 1) * delta - 2.0 + 2.0 * delta)
+               & (hi >= kcell * delta - 2.0 - 2.0 * delta))
+        members = tube_cell_members(cfg, (c, kcell))
+        assert np.array_equal(members.ix, cfg.mu.ix[hit])
+        assert np.array_equal(members.iy, cfg.mu.iy[hit])
+
+
+def test_furstenberg_check_names_first_bad_family():
+    cfg = build_furstenberg(0.8, 1.4, 2.0 ** -6, seed=5)
+    fams = cfg.tube_cells
+    pts = cfg.mu.centers()
+    keys = list(zip(cfg.mu.ix.tolist(), cfg.mu.iy.tolist()))
+
+    def check(replace):
+        """Check the families with those k in `replace` swapped for (ix, iy)."""
+        parts = [replace.get(k, (fams.family(k).ix, fams.family(k).iy))
+                 for k in range(fams.starts.size)]
+        store = CellFamilies(LINESPACE, cfg.delta,
+                             np.concatenate([ix for ix, _ in parts]),
+                             np.concatenate([iy for _, iy in parts]),
+                             np.repeat(np.arange(len(parts)),
+                                       [len(ix) for ix, _ in parts]))
+        _check_families(store, pts, keys, cfg.s, cfg.delta)
+
+    def dense(k):
+        # a single cell: delta^-s = 2^4.8 > 16
+        return fams.family(k).ix[:1], fams.family(k).iy[:1]
+
+    def stray(k):
+        # the family of the cell farthest from cell k, off k's graph
+        far = int(np.argmax(np.hypot(*(pts - pts[k]).T)))
+        return fams.family(far).ix, fams.family(far).iy
+
+    check({})
+    for first, second, message in (
+            (dense, stray, "too concentrated for exponent 0.8"),
+            (stray, dense, "strays off its graph")):
+        with pytest.raises(AssertionError) as err:
+            check({3: first(3), 7: second(7)})
+        assert str(err.value) == f"tube family at cell {keys[3]} {message}"
+        with pytest.raises(AssertionError, match=re.escape(str(keys[7]))):
+            check({7: second(7)})
+    # a family both too concentrated and off its graph reports concentration
+    ix, iy = stray(3)
+    with pytest.raises(AssertionError, match="too concentrated"):
+        check({3: (ix[:1], iy[:1])})
 
 
 def test_slicing_validation():
