@@ -162,9 +162,11 @@ def cmd_radial(args):
 
 
 def cmd_verify(args):
+    scale = args.scale or "desk"
+
     def run_one(entry):
         name, func, params = entry
-        return name, func(seed=args.seed, **params[args.scale])
+        return name, func(seed=args.seed, **params[scale])
 
     workers = max(1, args.threads)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -177,7 +179,7 @@ def cmd_verify(args):
         table.append({"experiment": name, "pass": summary["pass"]})
         print(f"{name:24s} {'PASS' if summary['pass'] else 'FAIL'}")
     all_pass = all(t["pass"] for t in table)
-    overall = {"scale": args.scale, "seed": args.seed,
+    overall = {"scale": scale, "seed": args.seed,
                "experiments": table, "pass": all_pass}
     _emit(args.out, "verify", table, overall, args.format)
     return None, overall
@@ -238,7 +240,7 @@ def build_parser():
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--scale", choices=("desk", "quick"), default="desk")
+    p.add_argument("--scale", choices=("desk", "quick"), default=None)
     return p
 
 
@@ -263,10 +265,13 @@ def _apply_config(args, parser):
             raise ValueError(f"cannot read config: {e}")
         if not isinstance(blob, dict):
             raise ValueError("config must be a flat JSON object")
-        actions = {a.dest: a for a in parser._actions if hasattr(args, a.dest)}
+        read = ALL_READ + FLAGS_READ[args.command]
+        actions = {a.dest: a for a in parser._actions
+                   if a.dest in read and hasattr(args, a.dest)}
         for key, val in blob.items():
             if key not in actions:
-                raise ValueError(f"unknown config key: {key}")
+                raise ValueError(
+                    f"config key {key}: not a flag {args.command} reads")
             # command line wins over the config file
             if getattr(args, key) == actions[key].default:
                 setattr(args, key, _config_value(actions[key], key, val))

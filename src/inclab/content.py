@@ -5,7 +5,8 @@ Content here is the infimum of sum(side^s) over covers of a cell set by
 dyadic squares of side between the set's resolution and the root side.  Over
 dyadic covers the infimum is attained and computed exactly by a bottom-up
 dynamic program; the comparison with ball covers is an absolute constant and
-never enters any ratio computed elsewhere.
+never enters any ratio computed elsewhere.  The DP and the non-concentration
+constant also take a CellFamilies store and give one value per family.
 """
 
 import math
@@ -40,11 +41,14 @@ class MultiscaleCover:
 
 
 def _level_arrays(P, top_level):
-    """Bottom-up occupied-cell codes with parent index maps.
+    """Bottom-up occupied-square codes with parent index maps.
 
     Returns a list from the leaf level up to `top_level`; each entry is
     (level, codes, parent_inverse) where parent_inverse maps this level's
-    cells to positions in the next (coarser) entry.
+    squares to positions in the next (coarser) entry.  A store's code
+    family * nx * ny + ix * ny + iy is the code of the cell
+    (family * nx + ix, iy), and nx halves per level up, so the same shift
+    finds the parent of a square of any family.
     """
     out = []
     for level, codes, _ in _dyadic_levels(P):
@@ -65,7 +69,11 @@ def dyadic_content(P, s, max_levels_up=None):
     Bottom-up DP: cost(Q) = min(side(Q)^s, sum of children costs) over
     occupied squares; ties prefer the coarser square.  `max_levels_up` caps
     cover squares at that many levels above the cells (used by oracle
-    comparisons); by default covers may reach the root.
+    comparisons); by default covers may reach the root.  The value is the
+    `math.fsum` of side^s over the cover squares.
+
+    Given a CellFamilies store, returns an array with one value per family,
+    each the same float as a call on that family alone.
     """
     if not (0.0 < s <= 2.0):
         raise ValueError("exponent s must lie in (0, 2]")
@@ -74,48 +82,49 @@ def dyadic_content(P, s, max_levels_up=None):
 
     top = 0 if max_levels_up is None else max(0, P.level - max_levels_up)
     levels = _level_arrays(P, top)
+    owns = [side_at_level(P.root, level) ** s for level, _, _ in levels]
 
     costs = []
     takes = []
     for depth, (level, codes, _) in enumerate(levels):
-        own = side_at_level(P.root, level) ** s
         if depth == 0:
-            cost = np.full(codes.size, own)
+            cost = np.full(codes.size, owns[0])
             take = np.ones(codes.size, dtype=bool)
         else:
             _, _, inv = levels[depth - 1]
             child_sum = np.bincount(inv, weights=costs[-1],
                                     minlength=codes.size)
-            take = own <= child_sum
-            cost = np.where(take, own, child_sum)
+            take = owns[depth] <= child_sum
+            cost = np.where(take, owns[depth], child_sum)
         costs.append(cost)
         takes.append(take)
 
     # walk down: a square is in the cover iff it is taken and no taken
-    # ancestor exists above it
-    cover = []
+    # ancestor exists above it; `chosen` runs from the top level down
+    chosen = [takes[-1]]
     pending = ~takes[-1]
-    chosen = takes[-1]
-    _emit(cover, P.root, levels[-1][0], levels[-1][1], chosen)
     for depth in range(len(levels) - 2, -1, -1):
-        level, codes, inv = levels[depth]
-        reach = pending[inv]
-        chosen = reach & takes[depth]
+        reach = pending[levels[depth][2]]
+        chosen.append(reach & takes[depth])
         pending = reach & ~takes[depth]
-        _emit(cover, P.root, level, codes, chosen)
     if pending.any():
         raise CoverError("internal DP error: uncovered cells remain")
 
-    value = math.fsum(sq.side ** s for sq in cover)
-    return ContentResult(value, cover, s)
+    # per family, the number of its cover squares at each level
+    counts = np.array([
+        np.bincount(codes[mask] // math.prod(grid_shape(P.root, level)),
+                    minlength=P.starts.size)
+        for (level, codes, _), mask in zip(levels, chosen[::-1])])
+    values = [math.fsum(np.repeat(owns, n).tolist()) for n in counts.T]
+    if isinstance(P, CellFamilies):
+        return np.array(values)
 
-
-def _emit(cover, root, level, codes, mask):
-    if not mask.any():
-        return
-    ix, iy = _cell_index(root, level, codes[mask])
-    for a, b in zip(ix.tolist(), iy.tolist()):
-        cover.append(DyadicSquare(root, level, a, b))
+    cover = []
+    for (level, codes, _), mask in zip(levels[::-1], chosen):
+        ix, iy = _cell_index(P.root, level, codes[mask])
+        cover.extend(DyadicSquare(P.root, level, a, b)
+                     for a, b in zip(ix.tolist(), iy.tolist()))
+    return ContentResult(values[0], cover, s)
 
 
 def smallest_katz_tao_constant(P, s):

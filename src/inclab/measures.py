@@ -144,7 +144,8 @@ class CellFamilies(_CellSet):
     last one up to the end), merged and sorted by (ix, iy) as in a PointSet;
     no family is empty.  `len` counts the cells of all families.  The
     constructor takes cells tagged with family numbers 0, 1, ... in any
-    order; `concatenate` joins stores family by family.
+    order; `concatenate` joins stores, or single sets as one family each,
+    family by family.
     """
 
     def __init__(self, root, resolution, ix, iy, family):
@@ -185,14 +186,9 @@ class CellFamilies(_CellSet):
                  np.concatenate([p.starts + o for p, o in zip(stores, offsets)]))
         return out
 
-    def spans(self):
-        """(start, stop) of each family's cells, in family order."""
-        stops = np.append(self.starts[1:], len(self))
-        return list(zip(self.starts.tolist(), stops.tolist()))
-
     def family(self, k):
         """Family k as a PointSet."""
-        a, b = self.spans()[k]
+        a, b = np.append(self.starts, len(self))[k:k + 2]
         return PointSet(self.root, self.resolution, self.ix[a:b], self.iy[a:b])
 
 

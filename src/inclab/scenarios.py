@@ -8,7 +8,8 @@ bundle joining them.  Both store their tube families the same way: one
 CellFamilies store of line-parameter cells, family k running through the
 k-th cell of the planar measure (in its (ix, iy) order).  Harnesses
 then measure dyadic contents and covering numbers whose non-decay across
-scales is the quantity of interest.
+scales is the quantity of interest; the non-empty F-slices of the slicing
+tubes go through one content DP as one more CellFamilies store.
 """
 
 import math
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .content import dyadic_content, smallest_delta_s_constant
-from .geometry import (LINESPACE, PLANE, grid_shape, level_for_resolution,
-                       project, projection_range)
+from .geometry import (LINESPACE, PLANE, _cell_codes, _cell_index,
+                       grid_shape, level_for_resolution, project,
+                       projection_range)
 from .measures import (CellFamilies, PointSet, _child_count_sequence,
                        generate_cantor_measure, radial_projection_covering)
 
@@ -153,16 +155,6 @@ class SlicingConfig:
     seed: int
 
 
-def _column_ranges(pts, level):
-    """Projection ranges of points over every angle column at a level.
-
-    Returns (lo, hi) arrays of shape (n_columns, n_points).
-    """
-    cols = np.arange(2 ** level)[:, None]
-    delta = 2.0 ** (-level)
-    return projection_range(pts, cols * delta, (cols + 1) * delta)
-
-
 def build_slicing(s, t, tau, delta, seed):
     """Separated fractal pair joined by all tubes from E toward F.
 
@@ -181,61 +173,49 @@ def build_slicing(s, t, tau, delta, seed):
     nu = generate_cantor_measure(s, delta, [seed, 0], window=E_WINDOW)
     mu = generate_cantor_measure(t, delta, [seed, 1], window=F_WINDOW)
 
-    level = level_for_resolution(LINESPACE, delta)
-    ncol, ny = grid_shape(LINESPACE, level)
-
-    fpts = mu.centers()
+    ncol, ny = grid_shape(LINESPACE, level_for_resolution(LINESPACE, delta))
+    # projection ranges over each angle column, shape (ncol, points)
+    theta = np.arange(ncol)[:, None] * delta
     corners = np.array([[F_WINDOW[0], F_WINDOW[2]], [F_WINDOW[0], F_WINDOW[3]],
                         [F_WINDOW[1], F_WINDOW[2]], [F_WINDOW[1], F_WINDOW[3]]])
-    corner_lo, corner_hi = _column_ranges(corners, level)
-    win_lo = corner_lo.min(axis=1)
-    win_hi = corner_hi.max(axis=1)
+    corner_lo, corner_hi = projection_range(corners, theta, theta + delta)
+    f_lo, f_hi = projection_range(mu.centers(), theta, theta + delta)
+    e_lo, e_hi = projection_range(nu.centers(), theta, theta + delta)
 
-    f_lo, f_hi = _column_ranges(fpts, level)
+    rows = np.arange(ny)
+    r0 = rows * delta - 2.0
+    meets_f = ((r0 <= corner_hi.max(axis=1)[:, None])
+               & (r0 + delta >= corner_lo.min(axis=1)[:, None]))
+    k_lo = np.floor((e_lo - 2.0 * delta + 2.0) / delta)
+    k_hi = np.floor((e_hi + 2.0 * delta + 2.0) / delta)
 
-    e_lo, e_hi = _column_ranges(nu.centers(), level)
-    tube_ix, tube_iy, family = [], [], []
-    masses = []
+    tube_cols, tube_rows, masses = [], [], []
     for k in range(len(nu)):
-        key = (int(nu.ix[k]), int(nu.iy[k]))
-        x_lo, x_hi = e_lo[:, k], e_hi[:, k]
-        cix, ciy = [], []
-        col_cells = {}
-        for c in range(ncol):
-            k_lo = math.floor((x_lo[c] - 2.0 * delta + 2.0) / delta)
-            k_hi = math.floor((x_hi[c] + 2.0 * delta + 2.0) / delta)
-            k_lo = max(k_lo, 0)
-            k_hi = min(k_hi, ny - 1)
-            if k_hi < k_lo:
-                continue
-            ks = np.arange(k_lo, k_hi + 1)
-            r0 = ks * delta - 2.0
-            meets_f = (r0 <= win_hi[c]) & (r0 + delta >= win_lo[c])
-            ks = ks[meets_f]
-            if ks.size:
-                col_cells[c] = ks
-                cix.append(np.full(ks.size, c, dtype=np.int64))
-                ciy.append(ks.astype(np.int64))
-        if not cix:
-            raise ValueError(f"mass condition unachievable at E-cell {key}")
-        tube_ix.extend(cix)
-        tube_iy.extend(ciy)
-        family.append(np.full(sum(a.size for a in cix), k))
+        # tube rows of E-cell k in every angle column
+        tube = (meets_f & (rows >= k_lo[:, k, None])
+                & (rows <= k_hi[:, k, None]))
+        cols, ks = np.nonzero(tube)
+        tube_cols.append(cols)
+        tube_rows.append(ks)
+        # an F-cell is covered when, in some column, a tube row lies in its
+        # row range [y_lo, y_hi]; below[:, j] counts the tube rows under j
+        cols = np.unique(cols)
+        below = np.zeros((cols.size, ny + 1), dtype=np.int64)
+        np.cumsum(tube[cols], axis=1, out=below[:, 1:])
+        y_lo, y_hi = (np.floor((f[cols] + 2.0) / delta).astype(np.int64)
+                      for f in (f_lo, f_hi))
+        hits = (np.take_along_axis(below, np.clip(y_hi + 1, 0, ny), axis=1)
+                > np.take_along_axis(below, np.clip(y_lo, 0, ny), axis=1))
+        masses.append(float(mu.weights[hits.any(axis=0)].sum()))
+        if masses[-1] <= 0.0:
+            raise ValueError("mass condition unachievable at E-cell "
+                             f"{(int(nu.ix[k]), int(nu.iy[k]))}")
 
-        covered = np.zeros(len(mu), dtype=bool)
-        for c, ks in col_cells.items():
-            y_klo = np.floor((f_lo[c] + 2.0) / delta).astype(np.int64)
-            y_khi = np.floor((f_hi[c] + 2.0) / delta).astype(np.int64)
-            pos_lo = np.searchsorted(ks, y_klo, side="left")
-            pos_hi = np.searchsorted(ks, y_khi, side="right")
-            covered |= pos_hi > pos_lo
-        mass = float(mu.weights[covered].sum())
-        if mass <= 0.0:
-            raise ValueError(f"mass condition unachievable at E-cell {key}")
-        masses.append(mass)
+    tubes = CellFamilies(LINESPACE, delta, np.concatenate(tube_cols),
+                         np.concatenate(tube_rows),
+                         np.repeat(np.arange(len(nu)),
+                                   [c.size for c in tube_cols]))
 
-    tubes = CellFamilies(LINESPACE, delta, np.concatenate(tube_ix),
-                         np.concatenate(tube_iy), np.concatenate(family))
     return SlicingConfig(nu, mu, tubes, f_lo, f_hi, 1.0 / min(masses),
                          s, t, tau, delta, seed)
 
@@ -263,24 +243,27 @@ def slicing_tube_content(cfg):
     """Max over (E-cell, tube) of the content of the tube's F-slice.
 
     Contents are evaluated at exponent tau - 1 on the F-cells met by each
-    tube (with 2 delta halfwidth slack); returns the maximum and its witness.
+    tube (with 2 delta halfwidth slack), a tube meeting none counting 0;
+    returns the maximum and its witness, the first pair reaching it in
+    (E-cell, tube cell) order.
     """
-    best = SlicingContentResult(0.0, None, None)
-    exponent = cfg.tau - 1.0
-    seen = {}
     fams = cfg.tubes
-    for k, (a, b) in enumerate(fams.spans()):
-        key = (int(cfg.nu.ix[k]), int(cfg.nu.iy[k]))
-        for tc in zip(fams.ix[a:b].tolist(), fams.iy[a:b].tolist()):
-            if tc in seen:
-                val = seen[tc]
-            else:
-                members = tube_cell_members(cfg, tc)
-                val = dyadic_content(members, exponent).value if len(members) else 0.0
-                seen[tc] = val
-            if val > best.value:
-                best = SlicingContentResult(val, key, tc)
-    return best
+    cells, inv = np.unique(_cell_codes(LINESPACE, fams.level, fams.ix, fams.iy),
+                           return_inverse=True)
+    slices = [tube_cell_members(cfg, tc) for tc in zip(*(
+        a.tolist() for a in _cell_index(LINESPACE, fams.level, cells)))]
+    met = np.array([len(m) > 0 for m in slices])
+    # one store of the non-empty slices; rebinding frees the single sets
+    # before the DP runs
+    slices = CellFamilies.concatenate([m for m in slices if len(m)])
+    values = np.zeros(cells.size)
+    values[met] = dyadic_content(slices, cfg.tau - 1.0)
+    values = values[inv]
+    best = int(np.argmax(values))  # the first maximum
+    k = fams.family_numbers()[best]
+    return SlicingContentResult(
+        float(values[best]), (int(cfg.nu.ix[k]), int(cfg.nu.iy[k])),
+        (int(fams.ix[best]), int(fams.iy[best])))
 
 
 # ---------------------------------------------------------------------------

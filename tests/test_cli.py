@@ -48,20 +48,21 @@ def test_config_file_and_flag_precedence(tmp_path):
 def test_bad_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out"
-    # unknown keys and values their flag would reject exit 2, naming the key
-    for blob in ({"frobnicate": 1}, {"t": "abc"}, {"seed": 1.5},
-                 {"format": "xml"}, {"help": True}):
+    # unknown keys, keys the command never reads and values their flag
+    # would reject exit 2, naming the key
+    for blob in ({"frobnicate": 1}, {"s": "abc"}, {"seed": 1.5},
+                 {"format": "xml"}, {"help": True}, {"t": "1.5"}):
         cfg.write_text(json.dumps(blob))
         assert cli.main(["energy", "--config", str(cfg), "--out", str(out)]) == 2
         key = list(blob)[0]
         assert re.search(rf"config key:? {key}\b", capsys.readouterr().err)
         assert not out.exists()
     # accepted values are converted as the flag converts them
-    cfg.write_text(json.dumps({"t": "1.5"}))
+    cfg.write_text(json.dumps({"s": "0.5"}))
     parser = cli.build_parser()
     args = cli._apply_config(parser.parse_args(["energy", "--config", str(cfg)]),
                              parser)
-    assert args.t == 1.5
+    assert args.s == 0.5
 
 
 def test_format_flag(tmp_path):
@@ -81,7 +82,7 @@ def test_energy_passes_s_and_deltas(tmp_path):
         [("0.3", "0.3", "0.03125"), ("0.3", "0.7", "0.03125")]
 
 
-def test_invalid_parameter_exit_2(tmp_path, capsys):
+def test_invalid_parameter_exit_2(tmp_path, tmp_path_factory, capsys):
     # precondition violations surface as invalid configuration
     code = cli.main(["incidence-sweep", "--t", "2.5", "--deltas", "2^-5",
                      "--out", str(tmp_path)])
@@ -117,10 +118,17 @@ def test_invalid_parameter_exit_2(tmp_path, capsys):
                            "incidence-sweep does not take --s"),
                           (["energy", "--threads", "2"], "energy does not take --threads"),
                           (["verify", "--sigma", "0.5"], "verify does not take --sigma"),
+                          (["energy", "--scale", "desk"], "energy does not take --scale"),
                           (["radial", "--deltas", "2^-6,2^-7"],
                            "radial takes a single delta")):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+    # so does a config key the command never reads
+    cfg = tmp_path_factory.mktemp("config") / "cfg.json"
+    cfg.write_text(json.dumps({"tau": 1.2, "sigma": 0.3}))
+    assert cli.main(["energy", "--s", "0.5", "--deltas", "2^-5", "--config",
+                     str(cfg), "--out", str(tmp_path)]) == 2
+    assert re.search(r"config key tau\b", capsys.readouterr().err)
     # every delta must be a finite positive number
     for command, deltas in (("incidence-sweep", "2^-6,nan"),
                             ("incidence-sweep", "inf"),

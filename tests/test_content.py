@@ -241,13 +241,15 @@ def test_family_constants_match_single_sets(case, s):
     assert np.any(np.diff(_cell_codes(first.root, first.level,
                                       first.ix, first.iy, 1)) < 0)
     got = smallest_delta_s_constant(store, s)
-    assert got.shape == (len(families),)
+    contents = dyadic_content(store, s)
+    assert got.shape == contents.shape == (len(families),)
     for k, (ix, iy) in enumerate(families):
         P = PointSet(store.root, store.resolution, ix, iy)
         fam = store.family(k)
         assert np.array_equal(fam.ix, P.ix) and np.array_equal(fam.iy, P.iy)
         one = smallest_delta_s_constant(P, s)
         assert got[k] == one == brute_delta_s_constant(P, s)
+        assert contents[k] == dyadic_content(fam, s).value
 
 
 def test_extraction_full_grid_and_singleton():

@@ -1,12 +1,13 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
 from inclab.content import dyadic_content, extract_katz_tao_subset
-from inclab.geometry import LINESPACE, PLANE, projection_range
+from inclab.geometry import LINESPACE, PLANE, grid_shape, projection_range
 from inclab.measures import CellFamilies, PointSet, generate_cantor_measure
-from inclab.scenarios import (_check_families, build_furstenberg,
+from inclab.scenarios import (F_WINDOW, _check_families, build_furstenberg,
                               build_slicing, furstenberg_content,
                               radial_check, slicing_tube_content,
                               tube_cell_members)
@@ -94,6 +95,82 @@ def test_slicing_witness_reproducible():
     members = tube_cell_members(cfg, res.tube_cell)
     again = dyadic_content(members, cfg.tau - 1.0).value
     assert again == res.value
+
+
+def reference_slicing_tubes(cfg):
+    """The tube store, F ranges and C of build_slicing, one E-cell and one
+    angle column at a time, from the configuration's own nu and mu."""
+    delta = cfg.delta
+    ncol, ny = grid_shape(LINESPACE, cfg.tubes.level)
+
+    def column_ranges(pts):
+        cols = np.arange(ncol)[:, None]
+        return projection_range(pts, cols * delta, (cols + 1) * delta)
+
+    corners = np.array([[F_WINDOW[0], F_WINDOW[2]], [F_WINDOW[0], F_WINDOW[3]],
+                        [F_WINDOW[1], F_WINDOW[2]], [F_WINDOW[1], F_WINDOW[3]]])
+    corner_lo, corner_hi = column_ranges(corners)
+    win_lo = corner_lo.min(axis=1)
+    win_hi = corner_hi.max(axis=1)
+    f_lo, f_hi = column_ranges(cfg.mu.centers())
+    e_lo, e_hi = column_ranges(cfg.nu.centers())
+    tube_ix, tube_iy, family, masses = [], [], [], []
+    for k in range(len(cfg.nu)):
+        covered = np.zeros(len(cfg.mu), dtype=bool)
+        for c in range(ncol):
+            k_lo = max(math.floor((e_lo[c, k] - 2.0 * delta + 2.0) / delta), 0)
+            k_hi = min(math.floor((e_hi[c, k] + 2.0 * delta + 2.0) / delta),
+                       ny - 1)
+            ks = np.arange(k_lo, k_hi + 1)
+            r0 = ks * delta - 2.0
+            ks = ks[(r0 <= win_hi[c]) & (r0 + delta >= win_lo[c])]
+            if not ks.size:
+                continue
+            tube_ix.append(np.full(ks.size, c))
+            tube_iy.append(ks)
+            family.append(np.full(ks.size, k))
+            y_klo = np.floor((f_lo[c] + 2.0) / delta).astype(np.int64)
+            y_khi = np.floor((f_hi[c] + 2.0) / delta).astype(np.int64)
+            covered |= (np.searchsorted(ks, y_khi, side="right")
+                        > np.searchsorted(ks, y_klo, side="left"))
+        masses.append(float(cfg.mu.weights[covered].sum()))
+    tubes = CellFamilies(LINESPACE, delta, np.concatenate(tube_ix),
+                         np.concatenate(tube_iy), np.concatenate(family))
+    return tubes, f_lo, f_hi, 1.0 / min(masses)
+
+
+@pytest.mark.parametrize("seed,level", [(0, 5), (1, 5), (2, 6), (3, 6),
+                                        (4, 7), (5, 7), (6, 8)])
+def test_build_slicing_matches_reference_loop(seed, level):
+    cfg = build_slicing(0.6, 1.6, 1.3, 2.0 ** -level, seed=[seed, 9])
+    tubes, f_lo, f_hi, C = reference_slicing_tubes(cfg)
+    for name in ("ix", "iy", "starts"):
+        assert np.array_equal(getattr(cfg.tubes, name), getattr(tubes, name))
+    assert np.array_equal(cfg.f_lo, f_lo) and np.array_equal(cfg.f_hi, f_hi)
+    assert cfg.C == C
+
+
+@pytest.mark.parametrize("seed,level,has_empty", [([0, 9], 5, False),
+                                                  (7, 6, False), (8, 7, True)])
+def test_slicing_witness_matches_loop_over_families(seed, level, has_empty):
+    # strict > keeps the first maximum in (E-cell, tube cell) order, among
+    # hundreds of tied pairs; a tube meeting no F-cell counts 0
+    cfg = build_slicing(0.6, 1.6, 1.3, 2.0 ** -level, seed=seed)
+    best = (0.0, None, None)
+    values = []
+    for k in range(cfg.tubes.starts.size):
+        fam = cfg.tubes.family(k)
+        for tc in zip(fam.ix.tolist(), fam.iy.tolist()):
+            members = tube_cell_members(cfg, tc)
+            values.append(dyadic_content(members, cfg.tau - 1.0).value
+                          if len(members) else 0.0)
+            if values[-1] > best[0]:
+                best = (values[-1], (int(cfg.nu.ix[k]), int(cfg.nu.iy[k])), tc)
+    res = slicing_tube_content(cfg)
+    assert (res.value, res.x_cell, res.tube_cell) == best
+    assert type(res.value) is float
+    assert values.count(best[0]) > 100
+    assert (0.0 in values) == has_empty
 
 
 def test_tube_cell_members_match_fresh_projection_ranges():
