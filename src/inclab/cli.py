@@ -26,7 +26,7 @@ MAX_GRID_N = 512  # the desk grid side; transforms cost O(n^3)
 
 
 def _parse_deltas(text):
-    bad = ValueError(f"bad delta list: {text!r}")
+    bad = argparse.ArgumentTypeError(f"bad delta list: {text!r}")
     out = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -132,12 +132,20 @@ def cmd_energy(args):
                                                   deltas=args.deltas))
 
 
+def _grid_side(n, low):
+    """--n as a keyword argument, if given and a power of two in range."""
+    if n is not None and (not low <= n <= MAX_GRID_N or n & (n - 1)):
+        raise ValueError(f"--n must be a power of two from {low} to {MAX_GRID_N}")
+    return _given(n=n)
+
+
 def cmd_xray_check(args):
-    return ex.exp_xray_check(seed=args.seed, **_given(n=args.n))
+    # xray-check also builds a grid of side n/2, and a grid side is at least 16
+    return ex.exp_xray_check(seed=args.seed, **_grid_side(args.n, 32))
 
 
 def cmd_smoothing(args):
-    return ex.exp_smoothing(seed=args.seed, **_given(n=args.n))
+    return ex.exp_smoothing(seed=args.seed, **_grid_side(args.n, 16))
 
 
 def cmd_furstenberg(args):
@@ -162,11 +170,9 @@ def cmd_radial(args):
 
 
 def cmd_verify(args):
-    scale = args.scale or "desk"
-
     def run_one(entry):
         name, func, params = entry
-        return name, func(seed=args.seed, **params[scale])
+        return name, func(seed=args.seed, **params[args.scale])
 
     workers = max(1, args.threads)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -179,7 +185,7 @@ def cmd_verify(args):
         table.append({"experiment": name, "pass": summary["pass"]})
         print(f"{name:24s} {'PASS' if summary['pass'] else 'FAIL'}")
     all_pass = all(t["pass"] for t in table)
-    overall = {"scale": scale, "seed": args.seed,
+    overall = {"scale": args.scale, "seed": args.seed,
                "experiments": table, "pass": all_pass}
     _emit(args.out, "verify", table, overall, args.format)
     return None, overall
@@ -210,54 +216,46 @@ FLAGS_READ = {
     "radial": ("s", "t", "sigma", "deltas"),
     "verify": ("scale", "threads"),
 }
-ALL_READ = ("help", "command", "config", "out", "seed", "format")
-
-
-def _check_flags_read(args, parser):
-    """Reject a flag given on the command line that the command never reads."""
-    read = ALL_READ + FLAGS_READ[args.command]
-    for action in parser._actions:
-        if (action.dest not in read
-                and getattr(args, action.dest) != action.default):
-            raise ValueError(f"{args.command} does not take --{action.dest}")
 
 
 def build_parser():
+    """One subparser per command, declaring only the flags that command
+    reads; abbreviated flags are rejected."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON file of flat key/value defaults")
+    common.add_argument("--out", default="out")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--format", choices=FORMATS, default="both")
+    flags = {
+        "deltas": dict(type=_parse_deltas,
+                       help="comma list, e.g. '2^-5,2^-6' or '0.03125'"),
+        # a string default goes through type too, so a bad value exits 2
+        "threads": dict(type=int, default=os.environ.get("INCLAB_THREADS", "1"),
+                        help="default: $INCLAB_THREADS, else 1"),
+        "t": dict(type=float),
+        "s": dict(type=float),
+        "tau": dict(type=float),
+        "sigma": dict(type=float),
+        "n": dict(type=int),
+        "scale": dict(choices=("desk", "quick"), default="desk"),
+    }
     p = argparse.ArgumentParser(
-        prog="inclab",
+        prog="inclab", allow_abbrev=False,
         description="discretized incidence-geometry experiments")
-    p.add_argument("command", choices=sorted(COMMANDS))
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file of flat key/value defaults")
-    p.add_argument("--out", type=str, default="out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--deltas", type=str, default=None,
-                   help="comma list, e.g. '2^-5,2^-6' or '0.03125'")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--format", choices=FORMATS, default="both")
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--scale", choices=("desk", "quick"), default=None)
+    commands = p.add_subparsers(dest="command", required=True)
+    for command in sorted(FLAGS_READ):
+        cp = commands.add_parser(command, parents=[common], allow_abbrev=False)
+        for flag in FLAGS_READ[command]:
+            cp.add_argument(f"--{flag}", **flags[flag])
     return p
 
 
-def _config_value(action, key, val):
-    """A config value passed through the type and choices of its flag."""
-    bad = ValueError(f"config key {key}: bad value {val!r}")
-    if action.type is not None:
-        try:
-            val = action.type(str(val))
-        except ValueError:
-            raise bad from None
-    if action.choices is not None and val not in action.choices:
-        raise bad
-    return val
-
-
-def _apply_config(args, parser):
+def parse_args(argv=None):
+    """The parsed command line.  A --config file's entries are read as
+    flags written before the command line's own, so explicit flags win."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     if args.config:
         try:
             blob = json.loads(Path(args.config).read_text())
@@ -265,44 +263,29 @@ def _apply_config(args, parser):
             raise ValueError(f"cannot read config: {e}")
         if not isinstance(blob, dict):
             raise ValueError("config must be a flat JSON object")
-        read = ALL_READ + FLAGS_READ[args.command]
-        actions = {a.dest: a for a in parser._actions
-                   if a.dest in read and hasattr(args, a.dest)}
-        for key, val in blob.items():
-            if key not in actions:
+        read = ("out", "seed", "format") + FLAGS_READ[args.command]
+        for key in blob:
+            if key not in read:
                 raise ValueError(
                     f"config key {key}: not a flag {args.command} reads")
-            # command line wins over the config file
-            if getattr(args, key) == actions[key].default:
-                setattr(args, key, _config_value(actions[key], key, val))
-    if isinstance(args.deltas, str):
-        args.deltas = _parse_deltas(args.deltas)
-    if args.threads is None:
-        args.threads = int(os.environ.get("INCLAB_THREADS", "1"))
-    # xray-check also builds a grid of side n/2, and a grid side is at least 16
-    low = 32 if args.command == "xray-check" else 16
-    if args.n is not None and (not low <= args.n <= MAX_GRID_N
-                               or args.n & (args.n - 1)):
-        raise ValueError(
-            f"--n must be a power of two from {low} to {MAX_GRID_N}")
+        # --key=value: a value starting with '-' is not read as a flag
+        args = parser.parse_args(
+            [args.command] + [f"--{k}={v}" for k, v in blob.items()]
+            + argv[argv.index(args.command) + 1:])
+    # the nearest existing path at or above --out must be a directory
+    out = Path(args.out)
+    found = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not found.is_dir():
+        raise ValueError(f"--out {args.out}: {found} is not a directory")
     return args
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
+        rows, summary = COMMANDS[args.command](args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    try:
-        _check_flags_read(args, parser)
-        args = _apply_config(args, parser)
-    except ValueError as e:
-        print(f"invalid config: {e}", file=sys.stderr)
-        return 2
-
-    try:
-        rows, summary = COMMANDS[args.command](args)
     except ValueError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2

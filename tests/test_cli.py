@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from inclab import cli
 
@@ -43,26 +47,37 @@ def test_config_file_and_flag_precedence(tmp_path):
     summary = json.loads(
         (tmp_path / "b" / "incidence_sweep_summary.json").read_text())
     assert summary["t"] == 1.7
+    # a config value is a flag written before the command line's own, so an
+    # explicit flag wins even at its default value
+    cfg.write_text(json.dumps({"seed": 2, "format": "csv"}))
+    flags = ["incidence-sweep", "--deltas", "2^-5,2^-6"]
+    assert cli.main(flags + ["--config", str(cfg), "--seed", "0", "--format",
+                             "both", "--out", str(tmp_path / "c")]) == 0
+    assert cli.main(flags + ["--seed", "0", "--out", str(tmp_path / "d")]) == 0
+    assert cli.main(flags + ["--seed", "2", "--out", str(tmp_path / "e")]) == 0
+    csv = {d: (tmp_path / d / "incidence_sweep.csv").read_bytes() for d in "cde"}
+    assert (tmp_path / "c" / "incidence_sweep_summary.json").exists()
+    assert csv["c"] == csv["d"] != csv["e"]
 
 
 def test_bad_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out"
     # unknown keys, keys the command never reads and values their flag
-    # would reject exit 2, naming the key
+    # would reject exit 2, naming the key or its flag
     for blob in ({"frobnicate": 1}, {"s": "abc"}, {"seed": 1.5},
-                 {"format": "xml"}, {"help": True}, {"t": "1.5"}):
+                 {"format": "xml"}, {"help": True}, {"t": "1.5"},
+                 {"config": str(cfg)}):
         cfg.write_text(json.dumps(blob))
         assert cli.main(["energy", "--config", str(cfg), "--out", str(out)]) == 2
         key = list(blob)[0]
-        assert re.search(rf"config key:? {key}\b", capsys.readouterr().err)
+        assert re.search(rf"(config key {key}|argument --{key}):",
+                         capsys.readouterr().err)
         assert not out.exists()
     # accepted values are converted as the flag converts them
-    cfg.write_text(json.dumps({"s": "0.5"}))
-    parser = cli.build_parser()
-    args = cli._apply_config(parser.parse_args(["energy", "--config", str(cfg)]),
-                             parser)
-    assert args.s == 0.5
+    cfg.write_text(json.dumps({"s": "0.5", "deltas": "2^-5"}))
+    args = cli.parse_args(["energy", "--config", str(cfg)])
+    assert (args.s, args.deltas) == (0.5, (2.0 ** -5,))
 
 
 def test_format_flag(tmp_path):
@@ -110,15 +125,18 @@ def test_invalid_parameter_exit_2(tmp_path, tmp_path_factory, capsys):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
     # a flag the command never reads exits 2 naming it, before any work
-    for argv, message in ((["content", "--s", "0.5"], "content does not take --s"),
+    for argv, message in ((["content", "--s", "0.5"], "unrecognized arguments: --s"),
                           (["xray-check", "--deltas", "2^-5"],
-                           "xray-check does not take --deltas"),
-                          (["smoothing", "--t", "1.5"], "smoothing does not take --t"),
+                           "unrecognized arguments: --deltas"),
+                          (["smoothing", "--t", "1.5"], "unrecognized arguments: --t"),
                           (["incidence-sweep", "--s", "0.5"],
-                           "incidence-sweep does not take --s"),
-                          (["energy", "--threads", "2"], "energy does not take --threads"),
-                          (["verify", "--sigma", "0.5"], "verify does not take --sigma"),
-                          (["energy", "--scale", "desk"], "energy does not take --scale"),
+                           "unrecognized arguments: --s"),
+                          (["energy", "--threads", "2"],
+                           "unrecognized arguments: --threads"),
+                          (["verify", "--sigma", "0.5"],
+                           "unrecognized arguments: --sigma"),
+                          (["energy", "--scale", "desk"],
+                           "unrecognized arguments: --scale"),
                           (["radial", "--deltas", "2^-6,2^-7"],
                            "radial takes a single delta")):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
@@ -138,6 +156,18 @@ def test_invalid_parameter_exit_2(tmp_path, tmp_path_factory, capsys):
         code = cli.main([command, f"--deltas={deltas}", "--out", str(tmp_path)])
         assert code == 2
         assert "bad delta list" in capsys.readouterr().err
+    # --out must not name an existing file or a path under one
+    file = tmp_path_factory.mktemp("out") / "file"
+    file.write_text("keep")
+    for argv in (["incidence-sweep", "--deltas", "2^-5"],
+                 ["verify", "--scale", "quick"]):
+        for out in (file, file / "sub"):
+            start = time.perf_counter()
+            assert cli.main(argv + ["--out", str(out)]) == 2
+            assert time.perf_counter() - start < 5.0
+            assert f"--out {out}: {file} is not a directory" in \
+                capsys.readouterr().err
+    assert file.read_text() == "keep"
     assert not any(tmp_path.iterdir())
 
 
@@ -180,12 +210,42 @@ def test_empty_measure_exit_2(tmp_path, monkeypatch):
     assert cli.main(["energy", "--out", str(tmp_path)]) == 2
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("INCLAB_THREADS", "2")
-    parser = cli.build_parser()
-    args = parser.parse_args(["verify", "--out", str(tmp_path)])
-    args = cli._apply_config(args, parser)
-    assert args.threads == 2
+    assert cli.parse_args(["verify", "--out", str(tmp_path)]).threads == 2
+    # only verify reads the thread count, so only verify rejects a bad one
+    monkeypatch.setenv("INCLAB_THREADS", "abc")
+    assert cli.main(["energy", "--s", "0.5", "--deltas", "2^-5",
+                     "--out", str(tmp_path / "energy")]) == 0
+    assert cli.main(["verify", "--out", str(tmp_path / "verify")]) == 2
+    assert "argument --threads: invalid int value: 'abc'" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "verify").exists()
+
+
+def test_command_help_lists_its_flags(capsys):
+    every_flag = {f for flags in cli.FLAGS_READ.values() for f in flags}
+    for command, read in cli.FLAGS_READ.items():
+        assert cli.main([command, "--help"]) == 0
+        shown = set(re.findall(r"--([a-z]+)\b", capsys.readouterr().out))
+        assert shown == {"help", "config", "out", "seed", "format", *read}
+        assert not shown & (every_flag - set(read))
+
+
+def test_real_argv_rejects_unread_and_abbreviated_flags(tmp_path, capsys):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "inclab.cli", "content",
+                          "--s", "0.5", "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert "unrecognized arguments: --s" in run.stderr
+    # an abbreviation is not read as the flag it starts
+    assert cli.main(["verify", "--scale", "quick", "--thr", "1",
+                     "--out", str(tmp_path)]) == 2
+    assert "unrecognized arguments: --thr" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_no_partial_files_on_failure(tmp_path, monkeypatch):
