@@ -21,9 +21,9 @@ print("== a row of cells: the exponent decides the optimal scale ==")
 row = PointSet(PLANE, delta, np.arange(ix0, ix0 + 2 ** k), np.full(2 ** k, ix0))
 for s in (0.5, 1.0, 1.5, 2.0):
     res = dyadic_content(row, s)
-    sides = sorted({sq.side for sq in res.cover})
-    print(f"  s = {s}: content {res.value:.6f}  cover of {len(res.cover)} "
-          f"squares with sides {sides}")
+    sides = sorted(fam.resolution for fam in res.cover.values())
+    print(f"  s = {s}: content {res.value:.6f}  cover of "
+          f"{sum(map(len, res.cover.values()))} squares with sides {sides}")
 
 print("\n== mixed configuration: one dense square plus stray cells ==")
 cells = [(ix0 + i, ix0 + j) for i in range(16) for j in range(16)]
@@ -33,10 +33,8 @@ P = PointSet(PLANE, delta, arr[:, 0], arr[:, 1])
 res = dyadic_content(P, 2.0)
 print(f"  content at s=2: {res.value:.6f} "
       f"(= 2^-4 + 10 delta^2 = {2.0 ** -4 + 10 * delta ** 2:.6f})")
-cover = multiscale_cover(P, 2.0)
-for lev in cover.scales():
-    fam = cover.families[lev]
-    print(f"  scale {fam[0].side}: {len(fam)} cover squares")
+for fam in multiscale_cover(P, 2.0).cover.values():
+    print(f"  scale {fam.resolution}: {len(fam)} cover squares")
 
 print("\n== non-concentrated subsets of a fractal set ==")
 m = generate_cantor_measure(1.3, 2.0 ** -7, seed=4)

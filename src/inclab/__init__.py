@@ -8,12 +8,11 @@ Hausdorff content, and experiment harnesses measuring how these
 quantities behave across scales.
 """
 
-from .geometry import DyadicSquare
 from .measures import (CellFamilies, LineParamMeasure, PlanarAtomMeasure,
                        PointSet, covering_number, frostman_constant,
                        generate_cantor_measure, generate_line_measure,
                        radial_projection_covering, riesz_energy_direct)
-from .content import (ContentResult, MultiscaleCover, dyadic_content,
+from .content import (ContentResult, dyadic_content,
                       extract_katz_tao_subset, multiscale_cover,
                       smallest_delta_s_constant, smallest_katz_tao_constant)
 from .spectral import (CylinderGrid, PlanarGrid, SpectrumCylinder,

@@ -45,6 +45,13 @@ def _parse_deltas(text):
     return tuple(out)
 
 
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
+    return seed
+
+
 def _rows_to_csv(rows):
     """CSV text; the header is every key in order of first appearance, and
     a row without a key leaves its cell empty."""
@@ -82,24 +89,23 @@ def _emit(out_dir, name, rows, summary, fmt):
 
 def _content_fixture_rows():
     """Canonical hand-checkable content fixtures for the report."""
-    rows = []
     k = 6
     delta = 2.0 ** -k
     ix0 = round(2.0 / delta)
     import numpy as np
     row_set = PointSet(PLANE, delta, np.arange(ix0, ix0 + 2 ** k),
                        np.full(2 ** k, ix0))
-    for s, expect in ((1.0, 1.0), (2.0, delta)):
-        res = ct.dyadic_content(row_set, s)
-        rows.append({"fixture": "bottom_row", "s": s, "value": res.value,
-                     "expected": expect, "cover_size": len(res.cover),
-                     "exact": res.value == expect})
     full = ms.generate_cantor_measure(2.0, delta, seed=0,
                                       window=(0.0, 1.0, 0.0, 1.0)).support()
-    res = ct.dyadic_content(full, 2.0)
-    rows.append({"fixture": "unit_square", "s": 2.0, "value": res.value,
-                 "expected": 1.0, "cover_size": len(res.cover),
-                 "exact": res.value == 1.0})
+    rows = []
+    for name, cells, s, expect in (("bottom_row", row_set, 1.0, 1.0),
+                                   ("bottom_row", row_set, 2.0, delta),
+                                   ("unit_square", full, 2.0, 1.0)):
+        res = ct.dyadic_content(cells, s)
+        rows.append({"fixture": name, "s": s, "value": res.value,
+                     "expected": expect,
+                     "cover_size": sum(map(len, res.cover.values())),
+                     "exact": res.value == expect})
     return rows
 
 
@@ -224,7 +230,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file of flat key/value defaults")
     common.add_argument("--out", default="out")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0)
     common.add_argument("--format", choices=FORMATS, default="both")
     flags = {
         "deltas": dict(type=_parse_deltas,

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (DyadicSquare, _cell_codes, _cell_index, grid_shape,
-                       side_at_level)
+from .geometry import _cell_codes, _cell_index, grid_shape, side_at_level
 from .measures import CellFamilies, PointSet, _dyadic_levels
 
 
@@ -26,18 +25,8 @@ class CoverError(Exception):
 @dataclass
 class ContentResult:
     value: float
-    cover: list
+    cover: dict  # level -> PointSet of the cover squares at that level
     exponent: float
-
-
-@dataclass
-class MultiscaleCover:
-    exponent: float
-    families: dict  # level -> list of DyadicSquare
-    value: float
-
-    def scales(self):
-        return sorted(self.families)
 
 
 def _level_arrays(P, top_level):
@@ -69,8 +58,9 @@ def dyadic_content(P, s, max_levels_up=None):
     Bottom-up DP: cost(Q) = min(side(Q)^s, sum of children costs) over
     occupied squares; ties prefer the coarser square.  `max_levels_up` caps
     cover squares at that many levels above the cells (used by oracle
-    comparisons); by default covers may reach the root.  The value is the
-    `math.fsum` of side^s over the cover squares.
+    comparisons); by default covers may reach the root.  The cover maps each
+    level holding cover squares, coarsest first, to a PointSet of those
+    squares; the value is the `math.fsum` of side^s over the cover squares.
 
     Given a CellFamilies store, returns an array with one value per family,
     each the same float as a call on that family alone.
@@ -78,7 +68,7 @@ def dyadic_content(P, s, max_levels_up=None):
     if not (0.0 < s <= 2.0):
         raise ValueError("exponent s must lie in (0, 2]")
     if len(P) == 0:
-        return ContentResult(0.0, [], s)
+        return ContentResult(0.0, {}, s)
 
     top = 0 if max_levels_up is None else max(0, P.level - max_levels_up)
     levels = _level_arrays(P, top)
@@ -119,11 +109,10 @@ def dyadic_content(P, s, max_levels_up=None):
     if isinstance(P, CellFamilies):
         return np.array(values)
 
-    cover = []
-    for (level, codes, _), mask in zip(levels[::-1], chosen):
-        ix, iy = _cell_index(P.root, level, codes[mask])
-        cover.extend(DyadicSquare(P.root, level, a, b)
-                     for a, b in zip(ix.tolist(), iy.tolist()))
+    cover = {level: PointSet(P.root, side_at_level(P.root, level),
+                             *_cell_index(P.root, level, codes[mask]))
+             for (level, codes, _), mask in zip(levels[::-1], chosen)
+             if mask.any()}
     return ContentResult(values[0], cover, s)
 
 
@@ -208,43 +197,34 @@ def extract_katz_tao_subset(P, s):
 
 
 def multiscale_cover(P, s):
-    """Optimal cover grouped by scale, with verified decomposition properties.
+    """The result of `dyadic_content(P, s)`, once its cover is checked.
 
-    Per dyadic scale the family of cover squares is returned; postconditions
-    verified here: the per-scale costs sum exactly to the DP optimum, every
-    input cell lies in exactly one cover square, and each scale family is a
-    Katz-Tao set with constant at most 4 at exponent s.
+    Raises CoverError unless the per-level costs sum exactly to the DP
+    optimum, every input cell lies in exactly one cover square, and each
+    level's squares form a Katz-Tao set with constant at most 4 at exponent s.
     """
     res = dyadic_content(P, s)
-    families = {}
-    for sq in res.cover:
-        families.setdefault(sq.level, []).append(sq)
 
     # fsum is correctly rounded, hence order independent: regrouping by
-    # scale reproduces the optimum exactly
-    total = math.fsum(sq.side ** s
-                      for _, fam in sorted(families.items()) for sq in fam)
-    if total != res.value:
+    # level reproduces the optimum exactly
+    owns = [fam.resolution ** s for fam in res.cover.values()]
+    sizes = [len(fam) for fam in res.cover.values()]
+    if math.fsum(np.repeat(owns, sizes).tolist()) != res.value:
         raise CoverError("scale grouping does not reproduce the DP optimum")
 
     # unique-cover: count cells under each cover square, compare with |P|
     covered = 0
     for lev, codes, counts in _dyadic_levels(P):
-        fam = families.get(lev, [])
-        fam_codes = _cell_codes(P.root, lev,
-                                np.array([sq.ix for sq in fam], dtype=np.int64),
-                                np.array([sq.iy for sq in fam], dtype=np.int64))
-        lo = np.searchsorted(codes, fam_codes, side="left")
-        hi = np.searchsorted(codes, fam_codes, side="right")
-        covered += int(counts[lo[hi > lo]].sum())
+        if lev in res.cover:
+            fam = res.cover[lev]
+            fam_codes = _cell_codes(P.root, lev, fam.ix, fam.iy)
+            lo = np.searchsorted(codes, fam_codes, side="left")
+            hi = np.searchsorted(codes, fam_codes, side="right")
+            covered += int(counts[lo[hi > lo]].sum())
     if covered != len(P):
         raise CoverError("cover is not a partition of the input cells")
 
-    for lev, fam in families.items():
-        fam_set = PointSet(P.root, side_at_level(P.root, lev),
-                           np.array([sq.ix for sq in fam], dtype=np.int64),
-                           np.array([sq.iy for sq in fam], dtype=np.int64))
-        if smallest_katz_tao_constant(fam_set, s) > 4.0:
-            raise CoverError("cover not Katz-Tao")
-
-    return MultiscaleCover(s, families, res.value)
+    if any(smallest_katz_tao_constant(fam, s) > 4.0
+           for fam in res.cover.values()):
+        raise CoverError("cover not Katz-Tao")
+    return res

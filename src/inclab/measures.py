@@ -462,12 +462,10 @@ def generate_cantor_measure(s, delta, seed, window=None, style="random"):
     return _generate_measure(PLANE, s, delta, seed, window, style)
 
 
-def generate_line_measure(s, delta, seed, theta_window=(0.25, 0.75),
-                          r_window=(-1.0, 1.0)):
+def generate_line_measure(s, delta, seed, window=(0.25, 0.75, -1.0, 1.0)):
     """Dimension-s measure on the line-parameter grid [0,1) x [-2,2).
 
-    The window defaults to [1/4,3/4] x [-1,1] so the angle seam at 0 = 1 is
-    never active.
+    The window (theta_lo, theta_hi, r_lo, r_hi) defaults to [1/4,3/4] x [-1,1]
+    so the angle seam at 0 = 1 is never active.
     """
-    window = (theta_window[0], theta_window[1], r_window[0], r_window[1])
     return _generate_measure(LINESPACE, s, delta, seed, window, "random")

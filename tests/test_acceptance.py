@@ -117,12 +117,9 @@ def test_criterion_08_multiscale_cover():
         P = PointSet(PLANE, 2.0 ** -7, rng.integers(0, 512, n),
                      rng.integers(0, 512, n))
         s = float(rng.uniform(0.4, 2.0))
-        cover = multiscale_cover(P, s)  # raises on (a), (b) violations
-        for lev, fam in cover.families.items():
-            fam_set = PointSet(PLANE, 4.0 * 2.0 ** -lev,
-                               np.array([sq.ix for sq in fam]),
-                               np.array([sq.iy for sq in fam]))
-            if smallest_katz_tao_constant(fam_set, s) > 4.0:
+        cover = multiscale_cover(P, s).cover  # raises on (a), (b) violations
+        for fam in cover.values():
+            if smallest_katz_tao_constant(fam, s) > 4.0:
                 kt_ok = False
     ok = summary["multiscale_ok"] and kt_ok
     _report(8, "multiscale-cover", ok,

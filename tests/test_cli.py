@@ -66,8 +66,8 @@ def test_bad_config_key(tmp_path, capsys):
     # unknown keys, keys the command never reads and values their flag
     # would reject exit 2, naming the key or its flag
     for blob in ({"frobnicate": 1}, {"s": "abc"}, {"seed": 1.5},
-                 {"format": "xml"}, {"help": True}, {"t": "1.5"},
-                 {"config": str(cfg)}):
+                 {"seed": -1}, {"format": "xml"}, {"help": True},
+                 {"t": "1.5"}, {"config": str(cfg)}):
         cfg.write_text(json.dumps(blob))
         assert cli.main(["energy", "--config", str(cfg), "--out", str(out)]) == 2
         key = list(blob)[0]
@@ -138,7 +138,11 @@ def test_invalid_parameter_exit_2(tmp_path, tmp_path_factory, capsys):
                           (["energy", "--scale", "desk"],
                            "unrecognized arguments: --scale"),
                           (["radial", "--deltas", "2^-6,2^-7"],
-                           "radial takes a single delta")):
+                           "radial takes a single delta"),
+                          (["energy", "--seed", "-1", "--deltas", "2^-5"],
+                           "argument --seed: must be non-negative: '-1'"),
+                          (["verify", "--scale", "quick", "--seed", "-1"],
+                           "argument --seed: must be non-negative: '-1'")):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
     # so does a config key the command never reads
@@ -182,8 +186,9 @@ def test_content_csv_fills_every_column(tmp_path):
     assert len(oracle_rows) == 100
     assert all(r["dp"] and r["oracle_value"] and r["agree"] == "True"
                for r in oracle_rows)
-    assert all(r["value"] and r["exact"] == "True"
-               for r in rows if not r["oracle"])
+    fixture_rows = [r for r in rows if not r["oracle"]]
+    assert all(r["value"] and r["exact"] == "True" for r in fixture_rows)
+    assert [r["cover_size"] for r in fixture_rows] == ["1", "64", "1"]
     assert "None" not in "".join(lines)
 
 

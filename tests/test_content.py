@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inclab.content import (dyadic_content,
+from inclab import content
+from inclab.content import (ContentResult, CoverError, dyadic_content,
                             extract_katz_tao_subset, multiscale_cover,
                             smallest_delta_s_constant,
                             smallest_katz_tao_constant)
-from inclab.experiments import content_cover_lp, enumerate_cover_min
+from inclab.experiments import (content_cover_lp, enumerate_cover_min,
+                                exp_content)
 from inclab.geometry import (LINESPACE, PLANE, _cell_codes, grid_shape,
                              level_for_resolution, side_at_level)
 from inclab.measures import CellFamilies, PointSet, generate_cantor_measure
@@ -31,18 +33,29 @@ def unit_square_cells(k):
     return PointSet(PLANE, delta, ix0 + ii.ravel(), ix0 + jj.ravel())
 
 
+def cover_sizes(res):
+    """{side: number of cover squares of that side}."""
+    return {fam.resolution: len(fam) for fam in res.cover.values()}
+
+
+def cover_value(cover, s):
+    """math.fsum of side^s over the squares of a {level: PointSet} cover."""
+    return math.fsum(fam.resolution ** s
+                     for fam in cover.values() for _ in range(len(fam)))
+
+
 def test_content_single_cell():
     P = PointSet(PLANE, 2.0 ** -5, [40], [41])
     for s in (0.5, 1.0, 2.0):
         res = dyadic_content(P, s)
         assert res.value == pytest.approx((2.0 ** -5) ** s)
-        assert len(res.cover) == 1 and res.cover[0].side == 2.0 ** -5
+        assert cover_sizes(res) == {2.0 ** -5: 1}
 
 
 def test_content_full_unit_square():
     res = dyadic_content(unit_square_cells(4), 2.0)
     assert res.value == pytest.approx(1.0)
-    assert len(res.cover) == 1 and res.cover[0].side == 1.0
+    assert cover_sizes(res) == {1.0: 1}
 
 
 def test_content_bottom_row():
@@ -51,10 +64,10 @@ def test_content_bottom_row():
     res1 = dyadic_content(P, 1.0)
     assert res1.value == 1.0
     # tie-break picks the coarsest tied square: the unit square itself
-    assert len(res1.cover) == 1 and res1.cover[0].side == 1.0
+    assert cover_sizes(res1) == {1.0: 1}
     res2 = dyadic_content(P, 2.0)
     assert res2.value == pytest.approx(2.0 ** -k)
-    assert len(res2.cover) == 2 ** k
+    assert cover_sizes(res2) == {2.0 ** -k: 2 ** k}
 
 
 def test_content_two_part_configuration():
@@ -66,7 +79,7 @@ def test_content_two_part_configuration():
     P = PointSet(PLANE, delta, arr[:, 0], arr[:, 1])
     res = dyadic_content(P, 2.0)
     assert res.value == pytest.approx(2.0 ** -4 + 10 * delta ** 2)
-    assert len(res.cover) == 11
+    assert sum(cover_sizes(res).values()) == 11
 
 
 def test_content_monotone_and_subadditive():
@@ -96,13 +109,13 @@ def test_content_cover_is_partition():
         res = dyadic_content(P, 1.3)
         # each input cell is inside exactly one cover square
         hits = np.zeros(len(P), dtype=int)
-        for sq in res.cover:
-            shift = P.level - sq.level
-            inside = ((P.ix >> shift) == sq.ix) & ((P.iy >> shift) == sq.iy)
-            hits += inside
+        for level, fam in res.cover.items():
+            assert fam.level == level and len(fam)
+            shift = P.level - level
+            for a, b in zip(fam.ix, fam.iy):
+                hits += ((P.ix >> shift) == a) & ((P.iy >> shift) == b)
         assert (hits == 1).all()
-        assert res.value == pytest.approx(
-            math.fsum(sq.side ** res.exponent for sq in res.cover))
+        assert res.value == cover_value(res.cover, res.exponent)
 
 
 def test_content_against_enumeration_oracle():
@@ -285,12 +298,10 @@ def test_extraction_bound_random():
 def test_multiscale_single_cell_and_square():
     single = PointSet(PLANE, 2.0 ** -5, [3], [7])
     cov = multiscale_cover(single, 1.0)
-    assert cov.scales() == [single.level]
+    assert list(cov.cover) == [single.level]
     full = unit_square_cells(4)
     cov = multiscale_cover(full, 2.0)
-    assert len(cov.families) == 1
-    (lev, fam), = cov.families.items()
-    assert fam[0].side == 1.0 and len(fam) == 1
+    assert cover_sizes(cov) == {1.0: 1}
 
 
 def test_multiscale_two_part():
@@ -301,7 +312,7 @@ def test_multiscale_two_part():
     arr = np.array(cells)
     P = PointSet(PLANE, delta, arr[:, 0], arr[:, 1])
     cov = multiscale_cover(P, 2.0)
-    sizes = {lev: len(fam) for lev, fam in cov.families.items()}
+    sizes = {lev: len(fam) for lev, fam in cov.cover.items()}
     assert sizes == {4: 1, 8: 10}
     assert cov.value == pytest.approx(2.0 ** -4 + 10 * delta ** 2)
 
@@ -314,6 +325,46 @@ def test_multiscale_properties_random():
                      rng.integers(0, 512, n))
         s = float(rng.uniform(0.4, 2.0))
         cov = multiscale_cover(P, s)  # raises CoverError on any violation
-        total = math.fsum(sq.side ** s
-                          for fam in cov.families.values() for sq in fam)
-        assert total == cov.value
+        assert cover_value(cov.cover, s) == cov.value
+
+
+def _doctored_result(case):
+    """(cells, a DP result for them breaking one check of multiscale_cover,
+    the message of that check); the value matches the cover unless the
+    case is the value itself."""
+    if case == "katz_tao":
+        # a 4x4 block covering itself at s = 0.4: its square two levels up
+        # holds 16 > 4 * 4^0.4 cover squares
+        P = unit_square_cells(2)
+        cover, s, message = {P.level: P}, 0.4, "not Katz-Tao"
+    else:
+        P = PointSet(PLANE, 2.0 ** -7, [64, 64, 200, 300], [64, 66, 90, 310])
+        res = dyadic_content(P, 2.0)
+        assert cover_sizes(res) == {P.resolution: 4}  # each cell covers itself
+        s, message = 2.0, "not a partition"
+        if case == "ulp":
+            return (P, ContentResult(math.nextafter(res.value, 1.0),
+                                     res.cover, s), "does not reproduce")
+        if case == "dropped":
+            cover = {P.level: PointSet(PLANE, P.resolution, P.ix[1:], P.iy[1:])}
+        else:  # the parent of cell (64, 64) covers it a second time
+            cover = {P.level - 1: PointSet(PLANE, 2 * P.resolution, [32], [32]),
+                     P.level: P}
+    return P, ContentResult(cover_value(cover, s), cover, s), message
+
+
+@pytest.mark.parametrize("case", ["ulp", "dropped", "ancestor", "katz_tao"])
+def test_multiscale_cover_rejects_doctored_results(case, monkeypatch):
+    P, res, message = _doctored_result(case)
+    monkeypatch.setattr(content, "dyadic_content", lambda P, s: res)
+    with pytest.raises(CoverError, match=message):
+        multiscale_cover(P, res.exponent)
+
+
+def test_exp_content_reports_a_failed_cover(monkeypatch):
+    def broken(P, s):
+        raise CoverError("cover is not a partition of the input cells")
+
+    monkeypatch.setattr(content, "multiscale_cover", broken)
+    _, summary = exp_content(seed=0, n_enum=2, n_lp=1)
+    assert summary["multiscale_ok"] is False and summary["pass"] is False
