@@ -2,9 +2,11 @@
 
 The incidence mass pairs a planar measure with a measure on lines: every
 (point, line) pair with the point inside the delta-tube contributes its
-weight product.  The headline inequality bounds this by
-delta * sqrt(I_{3-t}(mu) * I_t(nu)); the experiment tracks the ratio across
-scales, which should stay bounded (log-log slope near zero or below).
+weight product.  The source abstract bounds this by
+delta * sqrt(I_t(mu) * I_{3-t}(nu)); the sweep here pairs the energies the
+other way, dividing by delta * sqrt(I_{3-t}(mu) * I_t(nu)), and tracks the
+ratio across scales, which should stay bounded (log-log slope near zero or
+below).  The test suite checks the abstract's pairing on quick fixtures.
 """
 
 from inclab.incidence import incidences, inequality_sweep, lemma4_upper_bound
@@ -16,7 +18,7 @@ delta = 2.0 ** -6
 k = round(2.0 / delta)
 mu1 = PlanarAtomMeasure(delta, [k], [k], [1.0])        # atom at the origin
 nu1 = LineParamMeasure(delta, [round(0.5 / delta)], [k], [1.0])  # line through it
-print(f"  incidence mass: {incidences(mu1, nu1, 0.05).value}")
+print(f"  incidence mass: {incidences(mu1, nu1, 0.05)}")
 print(f"  angular-average upper bound: {lemma4_upper_bound(mu1, nu1, 0.05):.3f}")
 
 print("\n== ratio sweep for a dimension-1.5 pair ==")

@@ -20,8 +20,8 @@ from .spectral import (CylinderGrid, PlanarGrid, SpectrumCylinder,
                        riesz_energy_fourier, slice_identity_residual,
                        smoothing_ratio, sobolev_norm_cylinder,
                        sobolev_norm_plane, xray)
-from .incidence import (IncidenceResult, RatioTable, incidences,
-                        inequality_sweep, lemma4_upper_bound)
+from .incidence import (RatioTable, incidences, inequality_sweep,
+                        lemma4_upper_bound)
 from .scenarios import (FurstenbergConfig, SlicingConfig, build_furstenberg,
                         build_slicing, furstenberg_content,
                         radial_check, slicing_tube_content)

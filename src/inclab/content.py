@@ -200,8 +200,9 @@ def multiscale_cover(P, s):
     """The result of `dyadic_content(P, s)`, once its cover is checked.
 
     Raises CoverError unless the per-level costs sum exactly to the DP
-    optimum, every input cell lies in exactly one cover square, and each
-    level's squares form a Katz-Tao set with constant at most 4 at exponent s.
+    optimum, every cover square holds input cells and every input cell lies
+    in exactly one of them, and each level's squares form a Katz-Tao set
+    with constant at most 4 at exponent s.
     """
     res = dyadic_content(P, s)
 
@@ -212,15 +213,19 @@ def multiscale_cover(P, s):
     if math.fsum(np.repeat(owns, sizes).tolist()) != res.value:
         raise CoverError("scale grouping does not reproduce the DP optimum")
 
-    # unique-cover: count cells under each cover square, compare with |P|
+    # unique-cover: every cover square holds input cells, and the cells
+    # under the cover squares add up to |P|
+    if max(res.cover, default=0) > P.level:
+        raise CoverError("cover square holds no input cell")
     covered = 0
     for lev, codes, counts in _dyadic_levels(P):
         if lev in res.cover:
             fam = res.cover[lev]
             fam_codes = _cell_codes(P.root, lev, fam.ix, fam.iy)
             lo = np.searchsorted(codes, fam_codes, side="left")
-            hi = np.searchsorted(codes, fam_codes, side="right")
-            covered += int(counts[lo[hi > lo]].sum())
+            if (np.searchsorted(codes, fam_codes, side="right") == lo).any():
+                raise CoverError("cover square holds no input cell")
+            covered += int(counts[lo].sum())
     if covered != len(P):
         raise CoverError("cover is not a partition of the input cells")
 

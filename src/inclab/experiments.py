@@ -218,7 +218,7 @@ def exp_lemma4(seed=0, n_fixtures=1000):
             rng.integers(nrow // 4, 3 * nrow // 4, n_nu),
             rng.uniform(0.1, 1.0, n_nu))
         bound = inc.lemma4_upper_bound(mu, nu, delta)
-        value = inc.incidences(mu, nu, delta).value
+        value = inc.incidences(mu, nu, delta)
         ok = bound * LEMMA4_SAFETY >= value
         if value > 0:
             worst = min(worst, bound / value)

@@ -1,4 +1,4 @@
-"""Line projections and dyadic squares.
+"""Line projections and the dyadic cell grids.
 
 Lines in the plane are parametrized by (theta, r) with theta in [0, 1)
 revolutions: the line is {z : z . e_theta = r} where
@@ -6,18 +6,17 @@ e_theta = (cos 2*pi*theta, sin 2*pi*theta).  A point p lies in the
 delta-tube of the line (theta, r) when |project(p, theta) - r| <= delta, and
 in the tube of a line-parameter cell when `projection_range` over the cell's
 angles meets its offsets.  Two root boxes carry dyadic decompositions: the
-plane box [-2, 2)^2 and the line-parameter box [0, 1) x [-2, 2).
+plane box [-2, 2)^2 and the line-parameter box [0, 1) x [-2, 2).  A cell is
+an integer pair (ix, iy) at a level, and its children at the next level are
+(2 ix + dx, 2 iy + dy) for dx, dy in {0, 1}.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 PLANE = "PLANE"
 LINESPACE = "LINESPACE"
-
-COVER_MAX_LEVEL = 40  # dyadic_cover_of_box: deeper box edges are not dyadic
 
 
 def project(p, theta):
@@ -84,44 +83,6 @@ def level_for_resolution(root, delta):
     return level
 
 
-@dataclass(frozen=True)
-class DyadicSquare:
-    """Node (level, ix, iy) of the dyadic tree over a root box.
-
-    PLANE cells have side 4 * 2^-level, LINESPACE cells side 2^-level (the
-    r-axis of the line-parameter box splits into four unit strips at level 0,
-    so LINESPACE forms a forest with four roots).
-    """
-
-    root: str
-    level: int
-    ix: int
-    iy: int
-
-    def __post_init__(self):
-        nx, ny = grid_shape(self.root, self.level)
-        if self.level < 0 or not (0 <= self.ix < nx and 0 <= self.iy < ny):
-            raise ValueError(f"cell index ({self.ix}, {self.iy}) out of range "
-                             f"for {self.root} level {self.level}")
-
-    @property
-    def side(self):
-        return side_at_level(self.root, self.level)
-
-    @property
-    def bounds(self):
-        (x0, _), (y0, _) = root_extent(self.root)
-        s = self.side
-        xlo = x0 + self.ix * s
-        ylo = y0 + self.iy * s
-        return xlo, xlo + s, ylo, ylo + s
-
-    def children(self):
-        return [DyadicSquare(self.root, self.level + 1,
-                             2 * self.ix + dx, 2 * self.iy + dy)
-                for dy in (0, 1) for dx in (0, 1)]
-
-
 def projection_range(p, theta_lo, theta_hi):
     """Exact range of theta -> p . e_theta over [theta_lo, theta_hi].
 
@@ -148,33 +109,3 @@ def projection_range(p, theta_lo, theta_hi):
     lo = np.where(k_first + 1 - parity <= 2.0 * b, -rad, np.minimum(va, vb))
     return lo, hi
 
-
-def dyadic_cover_of_box(root, x_lo, x_hi, y_lo, y_hi):
-    """Maximal dyadic squares tiling the half-open box [x_lo,x_hi) x [y_lo,y_hi).
-
-    The box edges must be dyadic (multiples of some cell side); raises
-    otherwise.  Greedy top-down: a square is emitted as soon as it fits.
-    """
-    (rx0, rx1), (ry0, ry1) = root_extent(root)
-    if not (rx0 <= x_lo < x_hi <= rx1 and ry0 <= y_lo < y_hi <= ry1):
-        raise ValueError("box not contained in the root box")
-
-    out = []
-
-    def visit(sq):
-        xlo, xhi, ylo, yhi = sq.bounds
-        if xhi <= x_lo or xlo >= x_hi or yhi <= y_lo or ylo >= y_hi:
-            return
-        if x_lo <= xlo and xhi <= x_hi and y_lo <= ylo and yhi <= y_hi:
-            out.append(sq)
-            return
-        if sq.level >= COVER_MAX_LEVEL:
-            raise ValueError("box edges are not dyadic")
-        for ch in sq.children():
-            visit(ch)
-
-    nx, ny = grid_shape(root, 0)
-    for iy in range(ny):
-        for ix in range(nx):
-            visit(DyadicSquare(root, 0, ix, iy))
-    return out

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (LINESPACE, PLANE, _cell_codes, _cell_index,
-                       dyadic_cover_of_box, grid_shape, level_for_resolution,
-                       root_extent, side_at_level)
+                       grid_shape, level_for_resolution, root_extent,
+                       side_at_level)
 
 
 class _CellSet:
@@ -344,23 +344,47 @@ def _child_count_sequence(s, steps, branching):
     return counts
 
 
-def _window_squares(root, window):
-    """Dyadic squares, all at one level, tiling the box (x0, x1, y0, y1)."""
-    squares = dyadic_cover_of_box(root, *window)
-    if not squares:
+# child offsets (dx, dy) of a cell, indexed by the generator's picks
+OFFSETS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
+
+
+def _children(cells, pick):
+    """Children OFFSETS[pick] of the (n, 2) array of cells (ix, iy), cell by
+    cell; `pick` is one row of offset indices for every cell, or one row per
+    cell."""
+    return (2 * cells[:, None] + OFFSETS[pick]).reshape(-1, 2)
+
+
+def _window_cells(root, window):
+    """Maximal dyadic squares tiling the half-open box (x0, x1, y0, y1).
+
+    Returns (level, ix, iy) arrays in greedy depth-first order: the roots by
+    (iy, ix), then children (dx, dy) = (0, 0), (1, 0), (0, 1), (1, 1).  The
+    box edges must be dyadic (multiples of some cell side); raises otherwise.
+    """
+    x_lo, x_hi, y_lo, y_hi = window
+    (rx0, rx1), (ry0, ry1) = root_extent(root)
+    if not (rx0 <= x_lo < x_hi <= rx1 and ry0 <= y_lo < y_hi <= ry1):
+        raise ValueError("box not contained in the root box")
+    nx, ny = grid_shape(root, 0)
+    stack = [(0, ix, iy) for iy in range(ny) for ix in range(nx)][::-1]
+    cells = []
+    while stack:
+        level, ix, iy = stack.pop()
+        side = side_at_level(root, level)
+        xlo, ylo = rx0 + ix * side, ry0 + iy * side
+        if xlo + side <= x_lo or xlo >= x_hi or ylo + side <= y_lo or ylo >= y_hi:
+            continue
+        if x_lo <= xlo and xlo + side <= x_hi and y_lo <= ylo and ylo + side <= y_hi:
+            cells.append((level, ix, iy))
+        elif level >= 40:  # a box edge this fine counts as not dyadic
+            raise ValueError("box edges are not dyadic")
+        else:
+            stack += [(level + 1, 2 * ix + dx, 2 * iy + dy)
+                      for dx, dy in ((1, 1), (0, 1), (1, 0), (0, 0))]
+    if not cells:
         raise ValueError("empty window")
-    # normalize a mixed-size tiling to its finest level
-    lev = max(sq.level for sq in squares)
-    out = []
-    for sq in squares:
-        stack = [sq]
-        while stack:
-            cur = stack.pop()
-            if cur.level == lev:
-                out.append(cur)
-            else:
-                stack.extend(cur.children())
-    return out
+    return np.array(cells, dtype=np.int64).T
 
 
 # the largest measure a test, demo or desk experiment builds has 36,864
@@ -381,49 +405,44 @@ def _generate_measure(root, s, delta, seed, window, style):
     if not (0.0 < s <= 2.0):
         raise ValueError(f"infeasible dimension {s} (need 0 < dimension <= 2)")
     level = level_for_resolution(root, delta)
-    squares = _window_squares(root, window)
-    steps = level - squares[0].level
+    levels, ix, iy = _window_cells(root, window)
+    top = int(levels.max())
+    steps = level - top
     if steps < 0:
         raise ValueError("delta coarser than the window squares")
 
-    ix = np.array([sq.ix for sq in squares], dtype=np.int64)
-    iy = np.array([sq.iy for sq in squares], dtype=np.int64)
+    # each window square split down to the finest window level, last child
+    # first; the random streams below are drawn per cell in this order
+    cells = []
+    for lv, cell in zip(levels, np.column_stack([ix, iy])[:, None]):
+        for _ in range(top - lv):
+            cell = _children(cell, [3, 1, 2, 0])
+        cells.append(cell)
+    cells = np.concatenate(cells)
 
     if style == "four_corner":
         if not math.isclose(s, 1.0):
             raise ValueError("four_corner style is the dimension-1 construction")
         if steps % 2:
             raise ValueError("four_corner style needs an even number of levels")
-        _check_atom_count(len(squares) * 4 ** (steps // 2))
-        px = np.zeros_like(ix)
-        py = np.zeros_like(iy)
-        for j in range(1, steps + 1):
-            if j % 2:  # keep all four children, remember the offsets
-                off = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
-                ix = (2 * ix[:, None] + off[None, :, 0]).ravel()
-                iy = (2 * iy[:, None] + off[None, :, 1]).ravel()
-                px = np.repeat(off[None, :, 0], px.size, axis=0).ravel()
-                py = np.repeat(off[None, :, 1], py.size, axis=0).ravel()
-            else:      # keep the child continuing the previous offset
-                ix = 2 * ix + px
-                iy = 2 * iy + py
+        _check_atom_count(len(cells) * 4 ** (steps // 2))
+        for j in range(steps):
+            # keep all four children, then the child continuing each offset
+            pick = (np.arange(4) if j % 2 == 0
+                    else (np.arange(len(cells)) % 4)[:, None])
+            cells = _children(cells, pick)
     else:
         counts = _child_count_sequence(s, steps, 4)
-        _check_atom_count(len(squares) * math.prod(counts))
+        _check_atom_count(len(cells) * math.prod(counts))
         rng = np.random.default_rng(seed)
-        off = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
         for mj in counts:
-            n = ix.size
-            if mj == 4:
-                pick = np.broadcast_to(np.arange(4), (n, 4))
-            else:
-                pick = np.argsort(rng.random((n, 4)), axis=1)[:, :mj]
-            ix = (2 * ix[:, None] + off[pick, 0]).ravel()
-            iy = (2 * iy[:, None] + off[pick, 1]).ravel()
+            pick = (np.arange(4) if mj == 4 else
+                    np.argsort(rng.random((len(cells), 4)), axis=1)[:, :mj])
+            cells = _children(cells, pick)
 
-    w = np.full(ix.size, 1.0 / ix.size)
-    m = _measure_class(root)(delta, ix, iy, w)
-    _check_generated(m, s, delta, squares[0].side)
+    w = np.full(len(cells), 1.0 / len(cells))
+    m = _measure_class(root)(delta, cells[:, 0], cells[:, 1], w)
+    _check_generated(m, s, delta, side_at_level(root, top))
     return m
 
 

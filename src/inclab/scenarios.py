@@ -32,6 +32,13 @@ F_WINDOW = (0.625, 0.875, -0.125, 0.125)
 # about this many cells, which bounds its temporaries
 FAMILY_BLOCK_CELLS = 2 ** 15
 
+# the largest tube store a test, demo or desk experiment builds has 248,832
+# cells (exp_furstenberg, s = 0.8 and t = 1.4 at resolution 2^-8)
+MAX_TUBE_CELLS = 2 ** 21
+# build_slicing's largest tables at desk scale: angle columns x F-cells
+# 294,912 and angle columns x tube rows 262,144 (exp_slicing at 2^-8)
+MAX_SLICING_TABLE = 2 ** 21
+
 
 def _direction_cantor(counts, rng):
     """Dyadic s-dimensional subset of [1/4, 3/4): interval center angles.
@@ -83,6 +90,10 @@ def build_furstenberg(s, t, delta, seed):
     mu = generate_cantor_measure(t, delta, seed)
     # direction intervals of width delta inside [1/4, 3/4)
     counts = _child_count_sequence(s, level - 1, 2)
+    cells = len(mu) * math.prod(counts)
+    if cells > MAX_TUBE_CELLS:  # checked before any tube array exists
+        raise ValueError(f"the tube families would have {cells} cells, "
+                         f"above MAX_TUBE_CELLS = {MAX_TUBE_CELLS}")
 
     pts = mu.centers()
     keys = list(zip(mu.ix.tolist(), mu.iy.tolist()))
@@ -174,6 +185,11 @@ def build_slicing(s, t, tau, delta, seed):
     mu = generate_cantor_measure(t, delta, [seed, 1], window=F_WINDOW)
 
     ncol, ny = grid_shape(LINESPACE, level_for_resolution(LINESPACE, delta))
+    for what, size in (("tube grid", ncol * ny),
+                       ("F-cell range table", ncol * len(mu))):
+        if size > MAX_SLICING_TABLE:  # checked before any table exists
+            raise ValueError(f"the {what} would have {size} entries, above "
+                             f"MAX_SLICING_TABLE = {MAX_SLICING_TABLE}")
     # projection ranges over each angle column, shape (ncol, points)
     theta = np.arange(ncol)[:, None] * delta
     corners = np.array([[F_WINDOW[0], F_WINDOW[2]], [F_WINDOW[0], F_WINDOW[3]],

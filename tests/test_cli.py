@@ -121,7 +121,13 @@ def test_invalid_parameter_exit_2(tmp_path, tmp_path_factory, capsys):
                           (["furstenberg", "--s", "0.5"], "--s and --t"),
                           (["furstenberg", "--t", "1.5"], "--s and --t"),
                           (["furstenberg", "--s", "0", "--t", "1.5"],
-                           "s must lie in (2 - t, 1]")):
+                           "s must lie in (2 - t, 1]"),
+                          # 73,728 atoms with 16,384 directions each
+                          (["furstenberg", "--s", "1", "--t", "1.01",
+                            "--deltas", "2^-15"], "MAX_TUBE_CELLS"),
+                          # 4,096 angle columns x 16,384 tube rows
+                          (["slicing", "--deltas", "2^-12"],
+                           "MAX_SLICING_TABLE")):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
     # a flag the command never reads exits 2 naming it, before any work

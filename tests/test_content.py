@@ -347,13 +347,22 @@ def _doctored_result(case):
                                      res.cover, s), "does not reproduce")
         if case == "dropped":
             cover = {P.level: PointSet(PLANE, P.resolution, P.ix[1:], P.iy[1:])}
+        elif case == "empty":  # the square (400, 5) holds no cell of P
+            cover = {P.level: PointSet(PLANE, P.resolution, [*P.ix, 400],
+                                       [*P.iy, 5])}
+            message = "holds no input cell"
+        elif case == "finer":  # a square inside the cell (64, 64)
+            cover = {P.level: P, P.level + 1: PointSet(
+                PLANE, P.resolution / 2, [128], [128])}
+            message = "holds no input cell"
         else:  # the parent of cell (64, 64) covers it a second time
             cover = {P.level - 1: PointSet(PLANE, 2 * P.resolution, [32], [32]),
                      P.level: P}
     return P, ContentResult(cover_value(cover, s), cover, s), message
 
 
-@pytest.mark.parametrize("case", ["ulp", "dropped", "ancestor", "katz_tao"])
+@pytest.mark.parametrize("case", ["ulp", "dropped", "ancestor", "katz_tao",
+                                  "empty", "finer"])
 def test_multiscale_cover_rejects_doctored_results(case, monkeypatch):
     P, res, message = _doctored_result(case)
     monkeypatch.setattr(content, "dyadic_content", lambda P, s: res)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from inclab.geometry import (PLANE, dyadic_cover_of_box, project,
-                             projection_range)
+from inclab.geometry import project, projection_range
 
 
 def test_dist_to_line_on_line():
@@ -94,12 +93,3 @@ def test_dyadic_tube_disjoint_offsets():
     # theta in [3/16, 4/16), r cell [1.75, 1.8125)
     _, hi = projection_range((1.0, 0.5), 3 / 16, 4 / 16)
     assert hi < 1.75
-
-
-def test_dyadic_cover_of_box():
-    squares = dyadic_cover_of_box(PLANE, -0.5, 0.5, -0.5, 0.5)
-    assert len(squares) == 4
-    assert all(sq.side == 0.5 for sq in squares)
-    mixed = dyadic_cover_of_box(PLANE, -0.75, 0.5, -0.5, 0.5)
-    area = sum(sq.side ** 2 for sq in mixed)
-    assert area == pytest.approx(1.25 * 1.0)

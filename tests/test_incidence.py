@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inclab.incidence import (SWEEP_DELTA_MAX, _line_sum, fit_slope,
-                              incidences, inequality_sweep, lemma4_upper_bound)
+from inclab.experiments import _auto_window
+from inclab.geometry import LINESPACE, PLANE
+from inclab.incidence import (SWEEP_DELTA_MAX, RatioTable, _line_sum,
+                              fit_slope, incidences, inequality_sweep,
+                              lemma4_upper_bound)
 from inclab.measures import (LineParamMeasure, PlanarAtomMeasure,
-                             generate_cantor_measure, generate_line_measure)
+                             generate_cantor_measure, generate_line_measure,
+                             riesz_energy_direct)
 
 
 def origin_atom(delta):
@@ -36,14 +40,14 @@ def test_incidence_line_through_origin():
     mu = origin_atom(delta)
     nu = line_atom(delta, 0.5, 0.0)
     for d in (2.0 ** -5, 2.0 ** -4, 2.0 ** -3):
-        assert incidences(mu, nu, d).value == pytest.approx(1.0)
+        assert incidences(mu, nu, d) == pytest.approx(1.0)
 
 
 def test_incidence_far_line():
     delta = 2.0 ** -6
     mu = origin_atom(delta)
     nu = line_atom(delta, 0.5, 0.5)
-    assert incidences(mu, nu, 0.1).value == 0.0
+    assert incidences(mu, nu, 0.1) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -64,7 +68,7 @@ def test_incidence_brute_equals_bucketed_exactly(data):
     deltas = st.one_of(st.sampled_from([2.0 ** -k for k in range(3, 8)]),
                        st.floats(2.0 ** -7, 2.0 ** -3))
     for d in data.draw(st.lists(deltas, min_size=1, max_size=3)):
-        assert incidences(mu, nu, d).value == brute_incidences(mu, nu, d)
+        assert incidences(mu, nu, d) == brute_incidences(mu, nu, d)
 
 
 def test_incidence_monotone_in_delta():
@@ -73,7 +77,7 @@ def test_incidence_monotone_in_delta():
                            rng.integers(200, 312, 60), rng.uniform(0.1, 1, 60))
     nu = LineParamMeasure(2.0 ** -7, rng.integers(32, 96, 60),
                           rng.integers(128, 384, 60), rng.uniform(0.1, 1, 60))
-    vals = [incidences(mu, nu, d).value for d in (2.0 ** -6, 2.0 ** -5, 2.0 ** -4)]
+    vals = [incidences(mu, nu, d) for d in (2.0 ** -6, 2.0 ** -5, 2.0 ** -4)]
     assert vals[0] <= vals[1] <= vals[2]
 
 
@@ -81,9 +85,9 @@ def test_incidence_bilinear():
     delta = 2.0 ** -6
     mu = origin_atom(delta)
     nu = line_atom(delta, 0.5, 0.0)
-    base = incidences(mu, nu, 0.05).value
-    assert incidences(mu.scaled(3.0), nu, 0.05).value == pytest.approx(3.0 * base)
-    assert incidences(mu, nu.scaled(7.0), 0.05).value == pytest.approx(7.0 * base)
+    base = incidences(mu, nu, 0.05)
+    assert incidences(mu.scaled(3.0), nu, 0.05) == pytest.approx(3.0 * base)
+    assert incidences(mu, nu.scaled(7.0), 0.05) == pytest.approx(7.0 * base)
 
 
 def test_incidence_resolution_precondition():
@@ -101,7 +105,7 @@ def test_lemma4_point_at_origin():
     nu = line_atom(2.0 ** -12, 0.5, 0.0)
     bound = lemma4_upper_bound(mu, nu, delta)
     assert bound == pytest.approx(6.0, rel=1e-3)
-    assert bound >= incidences(mu, nu, delta).value
+    assert bound >= incidences(mu, nu, delta)
 
 
 def test_lemma4_far_pair_zero():
@@ -109,7 +113,7 @@ def test_lemma4_far_pair_zero():
     mu = origin_atom(2.0 ** -7)
     nu = line_atom(2.0 ** -7, 0.5, 1.5)
     assert lemma4_upper_bound(mu, nu, delta) == 0.0
-    assert incidences(mu, nu, delta).value == 0.0
+    assert incidences(mu, nu, delta) == 0.0
 
 
 def test_lemma4_dominates_on_random_fixtures():
@@ -122,7 +126,7 @@ def test_lemma4_dominates_on_random_fixtures():
         nu = LineParamMeasure(2.0 ** -7, rng.integers(32, 96, m),
                               rng.integers(128, 384, m), rng.uniform(0.1, 1, m))
         bound = lemma4_upper_bound(mu, nu, delta)
-        inc = incidences(mu, nu, delta).value
+        inc = incidences(mu, nu, delta)
         assert bound * 1.01 >= inc
 
 
@@ -161,6 +165,29 @@ def test_sweep_acceptance_style_fixture():
     assert table.slope <= 0.1
     summ = table.summary()
     assert summ["pass"]
+
+
+@pytest.mark.parametrize("seed", [0, 2026])
+@pytest.mark.parametrize("t", [1.3, 1.7])
+def test_abstract_energy_pairing_passes_the_sweep_rules(t, seed):
+    # the source abstract bounds the incidences by
+    # delta * sqrt(I_t(mu) * I_{3-t}(nu)), the reverse of inequality_sweep's
+    # pairing; on the quick incidence-inequality fixtures its ratios pass
+    # the same slope and growth rules
+    deltas = [2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
+    res = deltas[-1]
+    mu = generate_cantor_measure(t, res, seed=[seed, 5, 0],
+                                 window=_auto_window(PLANE, t, res))
+    nu = generate_line_measure(t, res, seed=[seed, 6, 0],
+                               window=_auto_window(LINESPACE, t, res))
+    rows = [{"delta": d, "ratio": incidences(mu, nu, d) / (d * math.sqrt(
+        riesz_energy_direct(mu, t, trunc=d)
+        * riesz_energy_direct(nu, 3.0 - t, trunc=d)))} for d in deltas]
+    ratios = [r["ratio"] for r in rows]
+    summ = RatioTable(t, rows, fit_slope([1.0 / d for d in deltas],
+                                         ratios)).summary()
+    assert min(ratios) > 0.0
+    assert summ["pass_slope"] and summ["pass_growth"]
 
 
 def test_sweep_preconditions():

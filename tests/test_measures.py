@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from inclab.content import smallest_delta_s_constant, smallest_katz_tao_constant
 from inclab.geometry import LINESPACE, PLANE, grid_shape, side_at_level
+from inclab.experiments import RADIAL_E_WINDOW
 from inclab.measures import (LineParamMeasure, PlanarAtomMeasure, PointSet,
                              _pair_energy_direct, _pair_energy_fft,
+                             _window_cells,
                              covering_number, frostman_constant,
                              generate_cantor_measure, generate_line_measure,
                              radial_projection_covering, riesz_energy_direct)
@@ -174,6 +177,44 @@ def test_radial_projection_separation_error():
     P = PointSet(PLANE, 2.0 ** -5, [64], [64])  # cell near (0, 0)
     with pytest.raises(ValueError, match="separation violated"):
         radial_projection_covering((0.1, 0.1), P)
+
+
+def test_window_cells():
+    levels, _, _ = _window_cells(PLANE, (-0.5, 0.5, -0.5, 0.5))
+    assert levels.size == 4
+    assert all(side_at_level(PLANE, lv) == 0.5 for lv in levels)
+    levels, _, _ = _window_cells(PLANE, (-0.75, 0.5, -0.5, 0.5))
+    area = sum(side_at_level(PLANE, lv) ** 2 for lv in levels)
+    assert area == pytest.approx(1.25 * 1.0)
+    for window, message in (((-3.0, 0.0, 0.0, 1.0), "not contained"),
+                            ((0.1, 0.5, 0.0, 0.5), "not dyadic")):
+        with pytest.raises(ValueError, match=message):
+            _window_cells(PLANE, window)
+
+
+def _cells_digest(m):
+    return hashlib.sha256(m.ix.astype(np.int64).tobytes()
+                          + m.iy.astype(np.int64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("make,digest", [
+    # a mixed tiling: squares of side 1/2 and 1/4, split to side 1/4
+    pytest.param(lambda: generate_cantor_measure(0.8, 2.0 ** -7, [2026, 10, 0],
+                                                 window=RADIAL_E_WINDOW),
+                 "3ca4ec1d4d85e4e41f4bbbdbc2b04d55dca45457244e91790ef4363888a776d1",
+                 id="radial-E-window"),
+    pytest.param(lambda: generate_line_measure(1.5, 2.0 ** -7, 2026),
+                 "af2ce8de29ad29048cb7a92e5304817889a40d436d7343b48802680bab397e8e",
+                 id="line-default-window"),
+    pytest.param(lambda: generate_cantor_measure(1.0, 4.0 ** -4, 0,
+                                                 style="four_corner"),
+                 "fabf58d89dfa095660a30c095bbddbee80c7587cf6687e49e337d9e32b581849",
+                 id="four-corner"),
+])
+def test_generator_streams_are_pinned(make, digest):
+    # the random streams are drawn per cell in window order; any change to
+    # that order, or to the child order, moves every seeded measure
+    assert _cells_digest(make()) == digest
 
 
 def test_generate_s2_full_grid():
