@@ -6,7 +6,8 @@ dyadic squares of side between the set's resolution and the root side.  Over
 dyadic covers the infimum is attained and computed exactly by a bottom-up
 dynamic program; the comparison with ball covers is an absolute constant and
 never enters any ratio computed elsewhere.  The DP and the non-concentration
-constant also take a CellFamilies store and give one value per family.
+constants all read the walk up the levels, `measures._dyadic_levels`; the DP
+and the delta-s constant also take a CellFamilies store (one value a family).
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _cell_codes, _cell_index, grid_shape, side_at_level
+from .geometry import _cell_codes, _cell_index, side_at_level
 from .measures import CellFamilies, PointSet, _dyadic_levels
 
 
@@ -27,29 +28,6 @@ class ContentResult:
     value: float
     cover: dict  # level -> PointSet of the cover squares at that level
     exponent: float
-
-
-def _level_arrays(P, top_level):
-    """Bottom-up occupied-square codes with parent index maps.
-
-    Returns a list from the leaf level up to `top_level`; each entry is
-    (level, codes, parent_inverse) where parent_inverse maps this level's
-    squares to positions in the next (coarser) entry.  A store's code
-    family * nx * ny + ix * ny + iy is the code of the cell
-    (family * nx + ix, iy), and nx halves per level up, so the same shift
-    finds the parent of a square of any family.
-    """
-    out = []
-    for level, codes, _ in _dyadic_levels(P):
-        if out:
-            child = out[-1][1]
-            up = _cell_codes(P.root, level + 1,
-                             *_cell_index(P.root, level + 1, child), 1)
-            out[-1] = (level + 1, child, np.searchsorted(codes, up))
-        out.append((level, codes, None))
-        if level <= top_level:
-            break
-    return out
 
 
 def dyadic_content(P, s, max_levels_up=None):
@@ -71,47 +49,41 @@ def dyadic_content(P, s, max_levels_up=None):
         return ContentResult(0.0, {}, s)
 
     top = 0 if max_levels_up is None else max(0, P.level - max_levels_up)
-    levels = _level_arrays(P, top)
-    owns = [side_at_level(P.root, level) ** s for level, _, _ in levels]
-
-    costs = []
-    takes = []
-    for depth, (level, codes, _) in enumerate(levels):
-        if depth == 0:
-            cost = np.full(codes.size, owns[0])
-            take = np.ones(codes.size, dtype=bool)
-        else:
-            _, _, inv = levels[depth - 1]
-            child_sum = np.bincount(inv, weights=costs[-1],
-                                    minlength=codes.size)
-            take = owns[depth] <= child_sum
-            cost = np.where(take, owns[depth], child_sum)
-        costs.append(cost)
+    levels, owns, costs, takes = [], [], [], []  # leaf level first
+    for level, codes, _, starts, up in _dyadic_levels(P):
+        own = side_at_level(P.root, level) ** s
+        child_sum = (np.bincount(levels[-1][3], weights=costs[-1],
+                                 minlength=codes.size)
+                     if levels else np.full(codes.size, np.inf))
+        take = own <= child_sum
+        levels.append((level, codes, starts, up))
+        owns.append(own)
+        costs.append(np.where(take, own, child_sum))
         takes.append(take)
+        if level <= top:
+            break
 
     # walk down: a square is in the cover iff it is taken and no taken
     # ancestor exists above it; `chosen` runs from the top level down
     chosen = [takes[-1]]
     pending = ~takes[-1]
     for depth in range(len(levels) - 2, -1, -1):
-        reach = pending[levels[depth][2]]
+        reach = pending[levels[depth][3]]
         chosen.append(reach & takes[depth])
         pending = reach & ~takes[depth]
     if pending.any():
         raise CoverError("internal DP error: uncovered cells remain")
 
     # per family, the number of its cover squares at each level
-    counts = np.array([
-        np.bincount(codes[mask] // math.prod(grid_shape(P.root, level)),
-                    minlength=P.starts.size)
-        for (level, codes, _), mask in zip(levels, chosen[::-1])])
+    counts = np.array([np.add.reduceat(mask, starts, dtype=np.int64)
+                       for (_, _, starts, _), mask in zip(levels, chosen[::-1])])
     values = [math.fsum(np.repeat(owns, n).tolist()) for n in counts.T]
     if isinstance(P, CellFamilies):
         return np.array(values)
 
     cover = {level: PointSet(P.root, side_at_level(P.root, level),
                              *_cell_index(P.root, level, codes[mask]))
-             for (level, codes, _), mask in zip(levels[::-1], chosen)
+             for (level, codes, _, _), mask in zip(levels[::-1], chosen)
              if mask.any()}
     return ContentResult(values[0], cover, s)
 
@@ -123,7 +95,7 @@ def smallest_katz_tao_constant(P, s):
     if len(P) == 0:
         return 0.0
     return max(counts.max() / 2.0 ** ((P.level - level) * s)
-               for level, _, counts in _dyadic_levels(P))
+               for level, _, counts, _, _ in _dyadic_levels(P))
 
 
 def smallest_delta_s_constant(P, s):
@@ -138,12 +110,8 @@ def smallest_delta_s_constant(P, s):
         return 0.0
     sizes = P.sizes()
     best = np.zeros(sizes.size)
-    for level, codes, counts in _dyadic_levels(P):
-        nx, ny = grid_shape(P.root, level)
-        # each family's squares begin at its first code at or above
-        # family * (squares per level)
-        first = np.searchsorted(codes, np.arange(sizes.size) * (nx * ny))
-        np.maximum(best, np.maximum.reduceat(counts, first)
+    for level, _, counts, starts, _ in _dyadic_levels(P):
+        np.maximum(best, np.maximum.reduceat(counts, starts)
                    / (side_at_level(P.root, level) ** s * sizes), out=best)
     return best if isinstance(P, CellFamilies) else best[0]
 
@@ -170,30 +138,18 @@ def extract_katz_tao_subset(P, s):
         raise ValueError("exponent s must lie in (0, 2]")
     if len(P) == 0:
         return P
-    bits = P.level + 3
-    order = np.argsort(_morton(P.ix, P.iy, bits), kind="stable")
-    ix_all = P.ix[order]
-    iy_all = P.iy[order]
-
-    caps = [2.0 ** (k * s) for k in range(P.level + 1)]
-    counts = [dict() for _ in range(P.level + 1)]  # per levels-up
-    keep_ix, keep_iy = [], []
-    for a, b in zip(ix_all, iy_all):
-        ok = True
-        for k in range(1, P.level + 1):
-            key = (a >> k, b >> k)
-            if counts[k].get(key, 0) + 1 > caps[k]:
-                ok = False
-                break
-        if not ok:
-            continue
-        keep_ix.append(a)
-        keep_iy.append(b)
-        for k in range(1, P.level + 1):
-            key = (a >> k, b >> k)
-            counts[k][key] = counts[k].get(key, 0) + 1
-    return PointSet(P.root, P.resolution, np.array(keep_ix, dtype=np.int64),
-                    np.array(keep_iy, dtype=np.int64))
+    # a dyadic square is one run of the Morton order and its cap binds the
+    # runs inside it, so the greedy keeps a cell iff, level by level up, it
+    # ranks within its square's cap among the cells that finer levels kept
+    z = _morton(P.ix, P.iy, P.level + 3)
+    order = np.argsort(z)
+    z = z[order]
+    for k in range(1, P.level + 1):
+        square = z >> np.uint64(2 * k)
+        rank = np.arange(z.size) - np.searchsorted(square, square)
+        keep = rank + 1 <= 2.0 ** (k * s)  # the greedy's own comparison
+        z, order = z[keep], order[keep]
+    return PointSet(P.root, P.resolution, P.ix[order], P.iy[order])
 
 
 def multiscale_cover(P, s):
@@ -218,7 +174,7 @@ def multiscale_cover(P, s):
     if max(res.cover, default=0) > P.level:
         raise CoverError("cover square holds no input cell")
     covered = 0
-    for lev, codes, counts in _dyadic_levels(P):
+    for lev, codes, counts, _, _ in _dyadic_levels(P):
         if lev in res.cover:
             fam = res.cover[lev]
             fam_codes = _cell_codes(P.root, lev, fam.ix, fam.iy)

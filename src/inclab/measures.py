@@ -5,6 +5,8 @@ fixed resolution, either in the plane box [-2,2)^2 or in the line-parameter
 box [0,1) x [-2,2).  Diagnostics (Frostman constants, Riesz energies,
 covering numbers, radial projections) quantify over dyadic squares only; the
 comparison with ball-based quantities is absorbed into absolute constants.
+`_dyadic_levels`, the one walk up the dyadic levels, serves the Frostman
+check, the generator's covering law and the content layer.
 """
 
 import math
@@ -63,7 +65,11 @@ def _canonical_cells(root, level, ix, iy, weights=None):
     """
     codes = _inside_codes(root, level, ix, iy)
     if weights is None:
-        return (*_cell_index(root, level, np.unique(codes)), None)
+        # return_counts keeps numpy 2.4's sort path, which is 20-30x faster
+        # than the bare call's hashing on mostly distinct int64 codes; an
+        # inverse would cost four more arrays the size of `codes`
+        codes, _ = np.unique(codes, return_counts=True)
+        return (*_cell_index(root, level, codes), None)
     codes, inv = np.unique(codes, return_inverse=True)
     return (*_cell_index(root, level, codes),
             np.bincount(inv, weights=weights, minlength=codes.size))
@@ -154,8 +160,10 @@ class CellFamilies(_CellSet):
         if not (np.shape(ix) == np.shape(iy) == family.shape and family.size):
             raise ValueError("need one family number per cell, and some cells")
         nx, ny = grid_shape(root, level)
-        keys = np.unique(family * (nx * ny)
-                         + _inside_codes(root, level, ix, iy))
+        # return_counts: numpy's sort path, as in _canonical_cells
+        keys, _ = np.unique(family * (nx * ny)
+                            + _inside_codes(root, level, ix, iy),
+                            return_counts=True)
         family, codes = np.divmod(keys, nx * ny)
         step = np.diff(family, prepend=-1)
         if family[0] != 0 or step.max() > 1:
@@ -195,25 +203,31 @@ class CellFamilies(_CellSet):
 def _dyadic_levels(cells, weights=None):
     """Per dyadic level, from the cells' own level up to the root.
 
-    Yields (level, codes, values): the sorted codes of the occupied
-    level-`level` squares and, per square, the number of cells it holds or,
-    with `weights` (one per cell), their total weight.  When `cells` holds
-    several families, a square's code is family * (squares per level) + its
-    own code, so each family's squares stay apart and the families follow
-    one another in order.
+    Yields (level, codes, values, starts, up): the sorted codes of the
+    occupied squares; per square, its cell count or, with `weights` (one
+    per cell), their total weight; each family's first square; and each
+    square's parent position in the next level (None at level 0).  A store
+    codes its squares as the cells (family * nx + ix, iy), so families stay
+    apart in order and, as nx halves per level up, one shift finds a parent.
     """
-    family = cells.family_numbers() if cells.starts.size > 1 else None
+    root = cells.root
+    nx, _ = grid_shape(root, cells.level)
+    codes = _cell_codes(root, cells.level,
+                        cells.family_numbers() * nx + cells.ix, cells.iy)
+    starts, square = cells.starts, np.arange(len(cells))  # cell -> square
     for level in range(cells.level, -1, -1):
-        code = _cell_codes(cells.root, cells.level, cells.ix, cells.iy,
-                           cells.level - level)
-        if family is not None:
-            nx, ny = grid_shape(cells.root, level)
-            code += family * (nx * ny)
-        if weights is None:
-            yield (level, *np.unique(code, return_counts=True))
-        else:
-            codes, inv = np.unique(code, return_inverse=True)
-            yield level, codes, np.bincount(inv, weights=weights)
+        values = np.bincount(square, weights=weights, minlength=codes.size)
+        if level == 0:
+            yield level, codes, values, starts, None
+            return
+        parents, up = np.unique(
+            _cell_codes(root, level, *_cell_index(root, level, codes), 1),
+            return_inverse=True)
+        yield level, codes, values, starts, up
+        # parent codes are not monotone in (ix, iy) order, so a family's
+        # first parent is the least parent of its squares
+        codes, square, starts = (parents, up[square],
+                                 np.minimum.reduceat(up, starts))
 
 
 def frostman_constant(m, s):
@@ -226,7 +240,7 @@ def frostman_constant(m, s):
     if len(m) == 0 or m.total <= 0.0:
         raise ValueError("empty measure")
     return max(masses.max() / side_at_level(m.root, level) ** s
-               for level, _, masses in _dyadic_levels(m, m.weights))
+               for level, _, masses, _, _ in _dyadic_levels(m, m.weights))
 
 
 def _pair_energy_direct(pts, w, s, trunc):
@@ -245,6 +259,17 @@ def _pair_energy_direct(pts, w, s, trunc):
     return math.fsum(partials)
 
 
+# the largest energy grids a test, demo, desk or bench run builds have 2^20
+# cells: exp_energy's Fourier grid at 2^-8, exp_incidence_sweep's 512 x 2048
+MAX_ENERGY_GRID = 2 ** 22
+
+
+def _check_energy_grid(nx, ny):
+    if nx * ny > MAX_ENERGY_GRID:  # called before the grid exists
+        raise ValueError(f"the energy grid would have {nx} x {ny} cells, "
+                         f"above MAX_ENERGY_GRID = {MAX_ENERGY_GRID}")
+
+
 def _pair_energy_fft(m, s, trunc):
     """Same double sum via autocorrelation of the weight grid.
 
@@ -256,9 +281,10 @@ def _pair_energy_fft(m, s, trunc):
     ix = m.ix - m.ix.min()
     iy = m.iy - m.iy.min()
     nx, ny = int(ix.max()) + 1, int(iy.max()) + 1
+    px, py = 2 * nx, 2 * ny
+    _check_energy_grid(px, py)
     grid = np.zeros((nx, ny))
     grid[ix, iy] = m.weights
-    px, py = 2 * nx, 2 * ny
     spec = np.fft.rfft2(grid, s=(px, py))
     corr = np.fft.irfft2(np.abs(spec) ** 2, s=(px, py))
     fx = np.fft.fftfreq(px, 1.0 / px)  # signed displacements
@@ -382,8 +408,6 @@ def _window_cells(root, window):
         else:
             stack += [(level + 1, 2 * ix + dx, 2 * iy + dy)
                       for dx, dy in ((1, 1), (0, 1), (1, 0), (0, 0))]
-    if not cells:
-        raise ValueError("empty window")
     return np.array(cells, dtype=np.int64).T
 
 
@@ -451,17 +475,15 @@ def _check_generated(m, s, delta, window_side):
         raise AssertionError("generator postcondition failed: Frostman constant > 16")
     # the dimension-s covering law is checked up to the window-square scale;
     # coarser scales saturate at the window-square count
-    P = m.support()
-    n = len(P)
-    rho = delta
-    while rho <= window_side:
-        cov = covering_number(P, rho)
-        target = rho ** (-s) * delta ** s * n
-        if not (target / 16.0 <= cov <= 16.0 * target):
+    for level, codes, _, _, _ in _dyadic_levels(m):
+        rho = side_at_level(m.root, level)
+        if rho > window_side:
+            break
+        target = rho ** (-s) * delta ** s * len(m)
+        if not (target / 16.0 <= codes.size <= 16.0 * target):
             raise AssertionError(
-                f"generator postcondition failed: covering at rho={rho} is {cov}, "
-                f"target {target:.3g}")
-        rho *= 2.0
+                f"generator postcondition failed: covering at rho={rho} is "
+                f"{codes.size}, target {target:.3g}")
 
 
 def generate_cantor_measure(s, delta, seed, window=None, style="random"):

@@ -25,6 +25,7 @@ import numpy as np
 from scipy import integrate
 
 from .geometry import level_for_resolution
+from .measures import _check_energy_grid
 
 
 def _cell_centers(n):
@@ -360,6 +361,7 @@ def riesz_energy_fourier(m, s):
     delta = m.resolution
     n = round(4.0 / delta)
     level_for_resolution("PLANE", delta)  # validates dyadic resolution
+    _check_energy_grid(n, n)
     grid = np.zeros((n, n))
     grid[m.ix, m.iy] = m.weights
 

@@ -127,7 +127,13 @@ def test_invalid_parameter_exit_2(tmp_path, tmp_path_factory, capsys):
                             "--deltas", "2^-15"], "MAX_TUBE_CELLS"),
                           # 4,096 angle columns x 16,384 tube rows
                           (["slicing", "--deltas", "2^-12"],
-                           "MAX_SLICING_TABLE")):
+                           "MAX_SLICING_TABLE"),
+                          # the pair energy's padded bounding-box grid
+                          (["energy", "--s", "0.5", "--deltas", "2^-28"],
+                           "MAX_ENERGY_GRID"),
+                          # the Fourier energy's 16,384^2 grid
+                          (["energy", "--s", "0.5", "--deltas", "2^-12"],
+                           "MAX_ENERGY_GRID")):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
     # a flag the command never reads exits 2 naming it, before any work

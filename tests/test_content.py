@@ -295,6 +295,53 @@ def test_extraction_bound_random():
         assert len(sub) * P.resolution ** s >= content / 64.0
 
 
+def greedy_katz_tao_subset(P, s):
+    """The extraction as a per-cell loop: in Morton order, admit a cell iff
+    afterwards each of its dyadic ancestors k levels up holds at most
+    2^(k s) admitted cells."""
+    order = np.argsort(content._morton(P.ix, P.iy, P.level + 3), kind="stable")
+    caps = [2.0 ** (k * s) for k in range(P.level + 1)]
+    counts = [dict() for _ in range(P.level + 1)]  # per levels-up
+    keep_ix, keep_iy = [], []
+    for a, b in zip(P.ix[order].tolist(), P.iy[order].tolist()):
+        if all(counts[k].get((a >> k, b >> k), 0) + 1 <= caps[k]
+               for k in range(1, P.level + 1)):
+            keep_ix.append(a)
+            keep_iy.append(b)
+            for k in range(1, P.level + 1):
+                key = (a >> k, b >> k)
+                counts[k][key] = counts[k].get(key, 0) + 1
+    return PointSet(P.root, P.resolution, keep_ix, keep_iy)
+
+
+@st.composite
+def clustered_cells(draw):
+    """A PointSet on either root: up to 6 clusters of up to 120 cells, each
+    spread over a box of 1 to 2^level cells a side, so some dyadic squares
+    are crowded and others sparse."""
+    root = draw(st.sampled_from([PLANE, LINESPACE]))
+    level = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nx, ny = grid_shape(root, level)
+    ix, iy = [], []
+    for _ in range(int(rng.integers(1, 7))):
+        span = 2 ** int(rng.integers(0, level + 1))
+        n = int(rng.integers(1, 121))
+        ix.append(rng.integers(0, nx - span + 1) + rng.integers(0, span, n))
+        iy.append(rng.integers(0, ny - span + 1) + rng.integers(0, span, n))
+    return PointSet(root, side_at_level(root, level), np.concatenate(ix),
+                    np.concatenate(iy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(clustered_cells(), st.floats(0.05, 2.0))
+def test_extraction_equals_the_greedy_loop(P, s):
+    sub = extract_katz_tao_subset(P, s)
+    ref = greedy_katz_tao_subset(P, s)
+    assert np.array_equal(sub.ix, ref.ix) and np.array_equal(sub.iy, ref.iy)
+    assert smallest_katz_tao_constant(sub, s) <= 1.0
+
+
 def test_multiscale_single_cell_and_square():
     single = PointSet(PLANE, 2.0 ** -5, [3], [7])
     cov = multiscale_cover(single, 1.0)

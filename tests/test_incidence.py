@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inclab import incidence
 from inclab.experiments import _auto_window
 from inclab.geometry import LINESPACE, PLANE
 from inclab.incidence import (SWEEP_DELTA_MAX, RatioTable, _line_sum,
@@ -188,6 +189,32 @@ def test_abstract_energy_pairing_passes_the_sweep_rules(t, seed):
                                          ratios)).summary()
     assert min(ratios) > 0.0
     assert summ["pass_slope"] and summ["pass_growth"]
+
+
+@pytest.mark.parametrize("seed", [0, 2026])
+@pytest.mark.parametrize("t", [1.3, 1.5, 1.7])
+def test_incidences_over_delta_are_flat_at_finite_energy(t, seed, monkeypatch):
+    # with mu of dimension t + 0.1 and nu of dimension 3 - t + 0.1 both
+    # energies of the abstract stay finite, so it bounds I_delta / delta
+    # with no delta^-eps loss: the log-log slope over three scales is flat,
+    # and a delta^-0.1 factor on the incidences shows in it
+    deltas = [2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
+    res = deltas[-1]
+    dim_mu, dim_nu = t + 0.1, 3.0 - t + 0.1
+    mu = generate_cantor_measure(dim_mu, res, seed=[seed, 5, 0],
+                                 window=_auto_window(PLANE, dim_mu, res))
+    nu = generate_line_measure(dim_nu, res, seed=[seed, 6, 0],
+                               window=_auto_window(LINESPACE, dim_nu, res))
+
+    def slope():
+        return fit_slope([1.0 / d for d in deltas],
+                         [incidence.incidences(mu, nu, d) / d for d in deltas])
+
+    assert abs(slope()) <= 0.05
+    exact = incidence.incidences
+    monkeypatch.setattr(incidence, "incidences",
+                        lambda mu, nu, d: exact(mu, nu, d) * d ** -0.1)
+    assert abs(slope()) > 0.05
 
 
 def test_sweep_preconditions():

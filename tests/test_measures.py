@@ -10,8 +10,8 @@ from inclab.content import smallest_delta_s_constant, smallest_katz_tao_constant
 from inclab.geometry import LINESPACE, PLANE, grid_shape, side_at_level
 from inclab.experiments import RADIAL_E_WINDOW
 from inclab.measures import (LineParamMeasure, PlanarAtomMeasure, PointSet,
-                             _pair_energy_direct, _pair_energy_fft,
-                             _window_cells,
+                             _check_generated, _pair_energy_direct,
+                             _pair_energy_fft, _window_cells,
                              covering_number, frostman_constant,
                              generate_cantor_measure, generate_line_measure,
                              radial_projection_covering, riesz_energy_direct)
@@ -257,6 +257,23 @@ def test_generate_deterministic():
 def test_generate_infeasible():
     with pytest.raises(ValueError):
         generate_cantor_measure(2.5, 2.0 ** -5, seed=0)
+
+
+def test_generator_postconditions_reject_doctored_measures():
+    delta = 2.0 ** -5
+    # all the mass in one cell: 1 / delta > 16 at s = 1
+    atom = PlanarAtomMeasure(delta, [70], [70], [1.0])
+    with pytest.raises(AssertionError, match="Frostman constant > 16"):
+        _check_generated(atom, 1.0, delta, 1.0)
+    # the full grid of the unit square read as a dimension-1 measure: its
+    # Frostman constant is 1/4, but one unit square covers what the law
+    # wants 32 of; the law is checked only up to the window side
+    full = unit_square_grid(5)
+    _check_generated(full, 2.0, delta, 1.0)
+    _check_generated(full, 1.0, delta, 0.5)
+    with pytest.raises(AssertionError, match="covering at rho=1.0 is 1, "
+                                             "target 32"):
+        _check_generated(full, 1.0, delta, 1.0)
 
 
 def test_measure_merges_duplicates():
