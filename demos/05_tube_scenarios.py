@@ -25,9 +25,9 @@ print("  (no decay across scales)")
 print("\n== tube slices of a separated fractal pair ==")
 for d in (2.0 ** -5, 2.0 ** -6, 2.0 ** -7):
     cfg = build_slicing(0.6, 1.6, 1.3, d, seed=2)
-    res = slicing_tube_content(cfg)
+    value, _, tube_cell = slicing_tube_content(cfg)
     print(f"  delta = {d:<8.5f} C = {cfg.C:.3f}  "
-          f"best slice content {res.value:.4f} at tube {res.tube_cell}")
+          f"best slice content {value:.4f} at tube {tube_cell}")
 
 print("\n== radial projections ==")
 delta = 2.0 ** -8
@@ -35,9 +35,9 @@ E = generate_cantor_measure(0.8, delta, seed=[3, 0],
                             window=(-0.75, 0.5, -0.5, 0.5)).support()
 F = generate_cantor_measure(1.5, delta, seed=[3, 1],
                             window=(0.75, 1.0, -0.125, 0.125)).support()
-rep = radial_check(E, F, sigma=0.6, delta=delta, s=0.8, t=1.5, seed=3)
+_, rep = radial_check(E, F, sigma=0.6, delta=delta, s=0.8, t=1.5, seed=3)
 print(f"  |E| = {len(E)}, |F| = {len(F)}, threshold delta^-0.6 = "
-      f"{rep.threshold:.1f}")
-print(f"  best viewpoint {rep.best_q}: min covering over subsets "
-      f"{rep.best_covering}")
-print(f"  fraction of viewpoints above threshold: {rep.fraction:.2f}")
+      f"{rep['threshold']:.1f}")
+print(f"  best viewpoint {rep['best_q']}: min covering over subsets "
+      f"{rep['best_covering']}")
+print(f"  fraction of viewpoints above threshold: {rep['fraction']:.2f}")

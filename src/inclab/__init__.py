@@ -15,11 +15,10 @@ from .measures import (CellFamilies, LineParamMeasure, PlanarAtomMeasure,
 from .content import (ContentResult, dyadic_content,
                       extract_katz_tao_subset, multiscale_cover,
                       smallest_delta_s_constant, smallest_katz_tao_constant)
-from .spectral import (CylinderGrid, PlanarGrid, SpectrumCylinder,
-                       adjoint_xray, canonical_cutoff, mixed_fourier,
-                       riesz_energy_fourier, slice_identity_residual,
-                       smoothing_ratio, sobolev_norm_cylinder,
-                       sobolev_norm_plane, xray)
+from .spectral import (CylinderGrid, PlanarGrid, adjoint_xray,
+                       canonical_cutoff, mixed_fourier, riesz_energy_fourier,
+                       slice_identity_residual, smoothing_ratio,
+                       sobolev_norm_cylinder, sobolev_norm_plane, xray)
 from .incidence import (RatioTable, incidences, inequality_sweep,
                         lemma4_upper_bound)
 from .scenarios import (FurstenbergConfig, SlicingConfig, build_furstenberg,

@@ -9,6 +9,8 @@ produce byte-identical artifacts.
 
 import argparse
 import concurrent.futures
+import csv
+import io
 import json
 import math
 import os
@@ -53,21 +55,15 @@ def _seed(text):
 
 
 def _rows_to_csv(rows):
-    """CSV text; the header is every key in order of first appearance, and
-    a row without a key leaves its cell empty."""
-    if not rows:
-        return "\n"
-    keys = list(dict.fromkeys(k for r in rows for k in r))
-    lines = [",".join(keys)]
-    for r in rows:
-        lines.append(",".join(_csv_cell(r[k]) if k in r else "" for k in keys))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    """CSV text; the header is every key in order of first appearance, a
+    row without a key leaves its cell empty, and a cell holding a comma or
+    a quote is quoted."""
+    text = io.StringIO()
+    keys = dict.fromkeys(k for r in rows for k in r)
+    writer = csv.DictWriter(text, list(keys), restval="", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 def _write_atomic(path, text):

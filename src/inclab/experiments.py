@@ -468,12 +468,11 @@ def exp_slicing(seed=0, s=0.6, t=1.6, tau=1.3,
     values = []
     for d in deltas:
         cfg = sc.build_slicing(s, t, tau, d, seed=[seed, 9])
-        res = sc.slicing_tube_content(cfg)
-        values.append(res.value)
+        value, x_cell, tube_cell = sc.slicing_tube_content(cfg)
+        values.append(value)
         rows.append({"s": s, "t": t, "tau": tau, "delta": d,
-                     "C": cfg.C, "max_content": res.value,
-                     "witness_x": str(res.x_cell),
-                     "witness_tube": str(res.tube_cell)})
+                     "C": cfg.C, "max_content": value,
+                     "witness_x": str(x_cell), "witness_tube": str(tube_cell)})
     slope = inc.fit_slope([1.0 / d for d in deltas], values)
     summary = {"slope": slope, "min_value": min(values),
                "pass": bool(slope >= SLOPE_MIN
@@ -491,13 +490,7 @@ def exp_radial(seed=0, s=0.8, t=1.5, sigma=0.6, delta=2.0 ** -8):
                                    window=RADIAL_E_WINDOW).support()
     F = ms.generate_cantor_measure(t, delta, seed=[seed, 10, 1],
                                    window=RADIAL_F_WINDOW).support()
-    rep = sc.radial_check(E, F, sigma, delta, s=s, t=t, seed=seed)
-    rows = [{"q_x": q[0], "q_y": q[1], "covering_full": full,
-             "covering_min": worst} for q, full, worst in rep.rows]
-    summary = {"threshold": rep.threshold, "best_covering": rep.best_covering,
-               "best_q": rep.best_q, "fraction": rep.fraction,
-               "pass": bool(rep.passed)}
-    return rows, summary
+    return sc.radial_check(E, F, sigma, delta, s=s, t=t, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,11 @@ FAMILY_BLOCK_CELLS = 2 ** 15
 # the largest tube store a test, demo or desk experiment builds has 248,832
 # cells (exp_furstenberg, s = 0.8 and t = 1.4 at resolution 2^-8)
 MAX_TUBE_CELLS = 2 ** 21
-# build_slicing's largest tables at desk scale: angle columns x F-cells
-# 294,912 and angle columns x tube rows 262,144 (exp_slicing at 2^-8)
+# build_slicing's tables are angle columns x F-cells (294,912 entries for
+# exp_slicing at 2^-8) and angle columns x E-cells.  s < t on windows of the
+# same size mostly makes E the smaller, but the generator's rounding can
+# make it the larger (64 against 48 cells at s = 1, t = 1.0183 and 2^-7),
+# so both are checked.
 MAX_SLICING_TABLE = 2 ** 21
 
 
@@ -185,8 +188,8 @@ def build_slicing(s, t, tau, delta, seed):
     mu = generate_cantor_measure(t, delta, [seed, 1], window=F_WINDOW)
 
     ncol, ny = grid_shape(LINESPACE, level_for_resolution(LINESPACE, delta))
-    for what, size in (("tube grid", ncol * ny),
-                       ("F-cell range table", ncol * len(mu))):
+    for what, size in (("F-cell range table", ncol * len(mu)),
+                       ("E-cell row interval table", ncol * len(nu))):
         if size > MAX_SLICING_TABLE:  # checked before any table exists
             raise ValueError(f"the {what} would have {size} entries, above "
                              f"MAX_SLICING_TABLE = {MAX_SLICING_TABLE}")
@@ -198,49 +201,42 @@ def build_slicing(s, t, tau, delta, seed):
     f_lo, f_hi = projection_range(mu.centers(), theta, theta + delta)
     e_lo, e_hi = projection_range(nu.centers(), theta, theta + delta)
 
-    rows = np.arange(ny)
-    r0 = rows * delta - 2.0
-    meets_f = ((r0 <= corner_hi.max(axis=1)[:, None])
-               & (r0 + delta >= corner_lo.min(axis=1)[:, None]))
-    k_lo = np.floor((e_lo - 2.0 * delta + 2.0) / delta)
-    k_hi = np.floor((e_hi + 2.0 * delta + 2.0) / delta)
+    # in column c, E-cell k's tube rows are [a[c, k], b[c, k]] (none when
+    # a > b): rows within 2 delta of the cell's range whose tube can meet
+    # F's window, r0 <= window hi and r0 + delta >= window lo
+    r0 = np.arange(ny) * delta - 2.0
+    first = np.searchsorted(r0 + delta, corner_lo.min(axis=1), side="left")
+    last = np.searchsorted(r0, corner_hi.max(axis=1), side="right") - 1
 
-    tube_cols, tube_rows, masses = [], [], []
+    def row(r):  # the tube row holding offset r
+        return np.floor((r + 2.0) / delta).astype(np.int64)
+
+    a = np.maximum(row(e_lo - 2.0 * delta), first[:, None])
+    b = np.minimum(row(e_hi + 2.0 * delta), last[:, None])
+    y_lo, y_hi = row(f_lo), row(f_hi)
+    masses = []
     for k in range(len(nu)):
-        # tube rows of E-cell k in every angle column
-        tube = (meets_f & (rows >= k_lo[:, k, None])
-                & (rows <= k_hi[:, k, None]))
-        cols, ks = np.nonzero(tube)
-        tube_cols.append(cols)
-        tube_rows.append(ks)
-        # an F-cell is covered when, in some column, a tube row lies in its
-        # row range [y_lo, y_hi]; below[:, j] counts the tube rows under j
-        cols = np.unique(cols)
-        below = np.zeros((cols.size, ny + 1), dtype=np.int64)
-        np.cumsum(tube[cols], axis=1, out=below[:, 1:])
-        y_lo, y_hi = (np.floor((f[cols] + 2.0) / delta).astype(np.int64)
-                      for f in (f_lo, f_hi))
-        hits = (np.take_along_axis(below, np.clip(y_hi + 1, 0, ny), axis=1)
-                > np.take_along_axis(below, np.clip(y_lo, 0, ny), axis=1))
+        # an F-cell is covered when, in some column, its row range
+        # [y_lo, y_hi] meets the tube rows
+        cols = np.flatnonzero(a[:, k] <= b[:, k])
+        hits = (np.maximum(a[cols, k, None], y_lo[cols])
+                <= np.minimum(b[cols, k, None], y_hi[cols]))
         masses.append(float(mu.weights[hits.any(axis=0)].sum()))
         if masses[-1] <= 0.0:
             raise ValueError("mass condition unachievable at E-cell "
                              f"{(int(nu.ix[k]), int(nu.iy[k]))}")
 
-    tubes = CellFamilies(LINESPACE, delta, np.concatenate(tube_cols),
-                         np.concatenate(tube_rows),
-                         np.repeat(np.arange(len(nu)),
-                                   [c.size for c in tube_cols]))
+    # one run of rows per (column, E-cell); a cell's row is its run's
+    # first row plus its position in the run
+    lengths = np.maximum(b - a + 1, 0).ravel()
+    run = np.repeat(np.arange(lengths.size), lengths)
+    col, family = np.divmod(run, len(nu))
+    iy = (np.repeat(a.ravel(), lengths) + np.arange(run.size)
+          - np.searchsorted(run, run))
+    tubes = CellFamilies(LINESPACE, delta, col, iy, family)
 
     return SlicingConfig(nu, mu, tubes, f_lo, f_hi, 1.0 / min(masses),
                          s, t, tau, delta, seed)
-
-
-@dataclass
-class SlicingContentResult:
-    value: float
-    x_cell: tuple
-    tube_cell: tuple
 
 
 def tube_cell_members(cfg, tube_cell):
@@ -260,8 +256,8 @@ def slicing_tube_content(cfg):
 
     Contents are evaluated at exponent tau - 1 on the F-cells met by each
     tube (with 2 delta halfwidth slack), a tube meeting none counting 0;
-    returns the maximum and its witness, the first pair reaching it in
-    (E-cell, tube cell) order.
+    returns (maximum, E-cell, tube cell) with the witness the first pair
+    reaching it in (E-cell, tube cell) order, cells as (ix, iy).
     """
     fams = cfg.tubes
     cells, inv = np.unique(_cell_codes(LINESPACE, fams.level, fams.ix, fams.iy),
@@ -277,9 +273,8 @@ def slicing_tube_content(cfg):
     values = values[inv]
     best = int(np.argmax(values))  # the first maximum
     k = fams.family_numbers()[best]
-    return SlicingContentResult(
-        float(values[best]), (int(cfg.nu.ix[k]), int(cfg.nu.iy[k])),
-        (int(fams.ix[best]), int(fams.iy[best])))
+    return (float(values[best]), (int(cfg.nu.ix[k]), int(cfg.nu.iy[k])),
+            (int(fams.ix[best]), int(fams.iy[best])))
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +300,6 @@ def _tube_concentration(P, delta):
     return worst
 
 
-@dataclass
-class RadialReport:
-    threshold: float
-    rows: list              # (q point, covering_full, min over subsets)
-    best_q: tuple
-    best_covering: int
-    fraction: float
-    passed: bool
-
-
 RADIAL_VIEWPOINTS = 256  # sampled F-cell centers q
 RADIAL_SUBSETS = 8  # seeded half-subsets of E checked from each q
 
@@ -324,10 +309,12 @@ def radial_check(E, F, sigma, delta, s, t, seed=0):
 
     For each of RADIAL_VIEWPOINTS sampled F-cell centers q, counts the
     occupied direction intervals of E and of RADIAL_SUBSETS seeded
-    half-subsets of E; reports the best q, the fraction of sampled q
-    reaching delta^-sigma on the full set and every subset, and whether
-    any q passes.  Preconditions (separation, declared dimensions of E and
-    F) are verified and raise by name.
+    half-subsets of E.  Returns (rows, summary): per q, `covering_full` and
+    `covering_min` (the least over E and every subset); the summary's
+    `best_q` is the first q with the largest `covering_min`, and `pass`
+    says whether that reaches the `threshold` delta^-sigma.  Preconditions
+    (separation, declared dimensions of E and F) are verified and raise by
+    name.
     """
     if not (t > 1.0):
         raise ValueError("declared dimension t must exceed 1")
@@ -360,9 +347,8 @@ def radial_check(E, F, sigma, delta, s, t, seed=0):
             "F concentrated near a single line (violates dimension t > 1)")
 
     rng = np.random.default_rng([seed, 101])
-    qi = rng.choice(len(F), size=min(RADIAL_VIEWPOINTS, len(F)),
-                    replace=False)
-    qi.sort()
+    qi = np.sort(rng.choice(len(F), size=min(RADIAL_VIEWPOINTS, len(F)),
+                            replace=False))
 
     subsets = []
     for j in range(RADIAL_SUBSETS):
@@ -372,19 +358,17 @@ def radial_check(E, F, sigma, delta, s, t, seed=0):
 
     threshold = delta ** (-sigma)
     rows = []
-    best_q, best_cov = None, -1
-    hits = 0
     for i in qi:
         q = (float(fc[i, 0]), float(fc[i, 1]))
         full = radial_projection_covering(q, E)
-        worst = full
-        for sub in subsets:
-            worst = min(worst, radial_projection_covering(q, sub))
-        rows.append((q, full, worst))
-        if worst > best_cov:
-            best_q, best_cov = q, worst
-        if worst >= threshold:
-            hits += 1
-    fraction = hits / len(qi)
-    return RadialReport(threshold, rows, best_q, best_cov, fraction,
-                        best_cov >= threshold)
+        worst = min([full] + [radial_projection_covering(q, sub)
+                              for sub in subsets])
+        rows.append({"q_x": q[0], "q_y": q[1], "covering_full": full,
+                     "covering_min": worst})
+    best = max(rows, key=lambda r: r["covering_min"])  # the first maximum
+    hits = sum(r["covering_min"] >= threshold for r in rows)
+    return rows, {"threshold": threshold,
+                  "best_covering": best["covering_min"],
+                  "best_q": (best["q_x"], best["q_y"]),
+                  "fraction": hits / len(rows),
+                  "pass": bool(best["covering_min"] >= threshold)}

@@ -109,16 +109,6 @@ class CylinderGrid:
                          * (1.0 / self.n_theta) * self.dr)
 
 
-@dataclass
-class SpectrumCylinder:
-    """Mixed Fourier coefficients: integer angular modes x r-frequency bins."""
-
-    values: np.ndarray      # complex, (n_theta, 4 n_r) in fft layout
-    modes: np.ndarray       # integer angular mode per row
-    rhos: np.ndarray        # r-frequency per column, step delta_rho
-    delta_rho: float
-
-
 SUPPORT_RADIUS = 1.5
 _MARCH_MAX = 1.75  # integration reach along lines; covers B(1.5) supports
 _PAD = 4  # zero padding of the spectra behind the Sobolev norms
@@ -236,14 +226,16 @@ def mixed_fourier(f):
     """Fourier series in the angle, Fourier transform in r, zero-padded
     `_PAD`-fold in r (bin step 1/16).
 
-    Coefficients approximate integral over [0,1] x R of
+    Returns (coefficients, modes, rhos): complex (n_theta, 4 n_r) in fft
+    layout, the integer angular mode of each row and the r-frequency of
+    each column.  Coefficients approximate integral over [0,1] x R of
     exp(-2 pi i (n theta + rho r)) f; Parseval holds exactly for the
     discrete sums.
     """
     spec, rhos = _r_fourier(np.fft.fft(f.values, axis=0) / f.n_theta, f.dr,
                             _PAD)
     modes = np.rint(np.fft.fftfreq(f.n_theta, d=1.0 / f.n_theta)).astype(int)
-    return SpectrumCylinder(spec, modes, rhos, rhos[1] - rhos[0])
+    return spec, modes, rhos
 
 
 def _zero_bin_average_1d(s, width):
@@ -303,14 +295,14 @@ def sobolev_norm_cylinder(f, s):
     """
     if not (-1.0 <= s <= 1.0):
         raise ValueError("exponent s must lie in [-1, 1]")
-    spec = mixed_fourier(f)
-    drho = spec.delta_rho
+    spec, modes, rhos = mixed_fourier(f)
+    drho = rhos[1] - rhos[0]
     if s <= -0.5:
         warnings.warn("zero-frequency bin excluded for s <= -1/2",
                       stacklevel=2)
     zero_avg = _zero_bin_average_1d(s, drho) if s > -0.5 else 0.0
-    w = _cusp_weight(spec.modes, spec.rhos, s, zero_avg)
-    total = np.sum(np.abs(spec.values) ** 2 * w) * drho
+    w = _cusp_weight(modes, rhos, s, zero_avg)
+    total = np.sum(np.abs(spec) ** 2 * w) * drho
     return math.sqrt(float(total))
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -125,7 +126,7 @@ def test_invalid_parameter_exit_2(tmp_path, tmp_path_factory, capsys):
                           # 73,728 atoms with 16,384 directions each
                           (["furstenberg", "--s", "1", "--t", "1.01",
                             "--deltas", "2^-15"], "MAX_TUBE_CELLS"),
-                          # 4,096 angle columns x 16,384 tube rows
+                          # 4,096 angle columns x the F-cells
                           (["slicing", "--deltas", "2^-12"],
                            "MAX_SLICING_TABLE"),
                           # the pair energy's padded bounding-box grid
@@ -273,6 +274,15 @@ def test_no_partial_files_on_failure(tmp_path, monkeypatch):
     assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
 
 
+def test_rows_to_csv_layout():
+    # header in order of first appearance, missing keys empty, floats as
+    # repr, a cell holding a comma quoted; no rows is an empty line
+    rows = [{"a": 0.1, "b": "(36, 61)"}, {"c": True, "a": 2.0 ** -8}]
+    assert cli._rows_to_csv(rows) == ('a,b,c\n0.1,"(36, 61)",\n'
+                                      '0.00390625,,True\n')
+    assert cli._rows_to_csv([]) == "\n"
+
+
 def test_verify_quick_deterministic(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
@@ -287,3 +297,16 @@ def test_verify_quick_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     table = (out1 / "verify.csv").read_text().strip().split("\n")
     assert len(table) - 1 >= 8  # at least eight criterion rows
+    # every CSV parses with the header's width; the witness cells, which
+    # hold commas, read back as (ix, iy)
+    for name in files1:
+        if name.endswith(".csv"):
+            with open(out1 / name, newline="") as f:
+                header, *rows = csv.reader(f)
+            assert all(len(row) == len(header) for row in rows), name
+    with open(out1 / "verify_slicing.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert rows
+    for row in rows:
+        for key in ("witness_x", "witness_tube"):
+            assert re.fullmatch(r"\(\d+, \d+\)", row[key]), row[key]

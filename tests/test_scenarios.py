@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from inclab import scenarios
 from inclab.content import dyadic_content, extract_katz_tao_subset
 from inclab.geometry import LINESPACE, PLANE, grid_shape, projection_range
 from inclab.measures import CellFamilies, PointSet, generate_cantor_measure
@@ -90,11 +91,11 @@ def test_slicing_separation_and_determinism():
 
 def test_slicing_witness_reproducible():
     cfg = build_slicing(0.6, 1.6, 1.3, 2.0 ** -6, seed=7)
-    res = slicing_tube_content(cfg)
-    assert res.value > 0
-    members = tube_cell_members(cfg, res.tube_cell)
+    value, _, tube_cell = slicing_tube_content(cfg)
+    assert value > 0
+    members = tube_cell_members(cfg, tube_cell)
     again = dyadic_content(members, cfg.tau - 1.0).value
-    assert again == res.value
+    assert again == value
 
 
 def reference_slicing_tubes(cfg):
@@ -139,15 +140,37 @@ def reference_slicing_tubes(cfg):
     return tubes, f_lo, f_hi, 1.0 / min(masses)
 
 
-@pytest.mark.parametrize("seed,level", [(0, 5), (1, 5), (2, 6), (3, 6),
-                                        (4, 7), (5, 7), (6, 8)])
-def test_build_slicing_matches_reference_loop(seed, level):
-    cfg = build_slicing(0.6, 1.6, 1.3, 2.0 ** -level, seed=[seed, 9])
+def assert_matches_reference(cfg):
     tubes, f_lo, f_hi, C = reference_slicing_tubes(cfg)
     for name in ("ix", "iy", "starts"):
         assert np.array_equal(getattr(cfg.tubes, name), getattr(tubes, name))
     assert np.array_equal(cfg.f_lo, f_lo) and np.array_equal(cfg.f_hi, f_hi)
     assert cfg.C == C
+
+
+@pytest.mark.parametrize("seed,level", [(0, 5), (1, 5), (2, 6), (3, 6),
+                                        (4, 7), (5, 7), (6, 8)])
+def test_build_slicing_matches_reference_loop(seed, level):
+    assert_matches_reference(
+        build_slicing(0.6, 1.6, 1.3, 2.0 ** -level, seed=[seed, 9]))
+
+
+# the full F grid, a thin s + t margin, a small s, and E with more cells
+# than F (64 against 48)
+@pytest.mark.parametrize("s,t,seed,level", [(1.0, 2.0, 0, 6), (0.9, 1.2, 1, 6),
+                                            (0.3, 1.9, 2, 5),
+                                            (1.0, 1.0183, 0, 7)])
+def test_build_slicing_matches_reference_loop_over_pairs(s, t, seed, level):
+    assert_matches_reference(
+        build_slicing(s, t, (1.0 + t) / 2.0, 2.0 ** -level, seed=seed))
+
+
+def test_slicing_table_guard_counts_e_cells(monkeypatch):
+    # 128 angle columns x 64 E-cells, above the 128 x 48 F-cell table
+    monkeypatch.setattr(scenarios, "MAX_SLICING_TABLE", 128 * 50)
+    with pytest.raises(ValueError, match="E-cell row interval table would "
+                                         "have 8192 entries"):
+        build_slicing(1.0, 1.0183, 1.009, 2.0 ** -7, seed=0)
 
 
 @pytest.mark.parametrize("seed,level,has_empty", [([0, 9], 5, False),
@@ -167,8 +190,8 @@ def test_slicing_witness_matches_loop_over_families(seed, level, has_empty):
             if values[-1] > best[0]:
                 best = (values[-1], (int(cfg.nu.ix[k]), int(cfg.nu.iy[k])), tc)
     res = slicing_tube_content(cfg)
-    assert (res.value, res.x_cell, res.tube_cell) == best
-    assert type(res.value) is float
+    assert res == best
+    assert type(res[0]) is float
     assert values.count(best[0]) > 100
     assert (0.0 in values) == has_empty
 
@@ -247,14 +270,14 @@ def test_radial_ray_and_separated_directions():
                                 window=(-0.75, 0.5, -0.5, 0.5)).support()
     F = generate_cantor_measure(1.5, delta, seed=[8, 1],
                                 window=(0.75, 1.0, -0.125, 0.125)).support()
-    rep = radial_check(E, F, 0.6, delta, s=0.8, t=1.5, seed=8)
-    assert rep.threshold == pytest.approx(delta ** -0.6)
-    assert rep.best_covering >= 1
-    assert 0.0 <= rep.fraction <= 1.0
-    assert len(rep.rows) == min(len(F), 256)
+    rows, summary = radial_check(E, F, 0.6, delta, s=0.8, t=1.5, seed=8)
+    assert summary["threshold"] == pytest.approx(delta ** -0.6)
+    assert summary["best_covering"] >= 1
+    assert 0.0 <= summary["fraction"] <= 1.0
+    assert len(rows) == min(len(F), 256)
     # the winner is consistent with its row
-    best_rows = [w for q, full, w in rep.rows]
-    assert rep.best_covering == max(best_rows)
+    best_rows = [r["covering_min"] for r in rows]
+    assert summary["best_covering"] == max(best_rows)
 
 
 def test_radial_degenerate_rejection():
