@@ -59,7 +59,7 @@ def incidences(mu, nu, delta):
 
     pts = mu.centers()
     w = mu.weights
-    thetas, rs = nu.line_params()
+    thetas, rs = nu.centers().T
     v = nu.weights
 
     sums = np.empty(len(thetas))
@@ -135,7 +135,7 @@ def lemma4_upper_bound(mu, nu, delta):
     dominates the incidence count; tube angles must keep a delta margin
     from the seam.
     """
-    thetas, rs = nu.line_params()
+    thetas, rs = nu.centers().T
     if thetas.min() < delta or thetas.max() > 1.0 - delta:
         raise ValueError("theta margin violated: tube angles within delta of the seam")
     pts = mu.centers()
@@ -199,7 +199,7 @@ def inequality_sweep(mu, nu, t, deltas):
     pts = mu.centers()
     if len(mu) == 0 or np.hypot(pts[:, 0], pts[:, 1]).max() > 1.0:
         raise ValueError("mu must be supported in the unit ball")
-    th, rr = nu.line_params()
+    th, rr = nu.centers().T
     if len(nu) == 0 or th.min() < 0.25 or th.max() > 0.75:
         raise ValueError("nu angle support must lie in [1/4, 3/4]")
     if np.abs(rr).max() > 1.0:

@@ -6,11 +6,10 @@ box [0,1) x [-2,2).  Diagnostics (Frostman constants, Riesz energies,
 covering numbers, radial projections) quantify over dyadic squares only; the
 comparison with ball-based quantities is absorbed into absolute constants.
 `_dyadic_levels`, the one walk up the dyadic levels, serves the Frostman
-check, the generator's covering law and the content layer.
+check, covering numbers, the generator's covering law and the content layer.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +22,20 @@ class _CellSet:
     """Cells (ix, iy) of one root box at one level, merged and sorted.
 
     `starts` holds the offset of each family of cells; a single set is one
-    family from cell 0, and a CellFamilies store holds many.
+    family from cell 0, and a CellFamilies store holds many.  Every set is
+    stored by `_set`, which makes its arrays read-only.
     """
 
     starts = np.zeros(1, dtype=np.int64)
     starts.flags.writeable = False
+
+    def _set(self, root, resolution, level, ix, iy, starts=None):
+        self.root, self.resolution, self.level = root, float(resolution), level
+        self.ix, self.iy = ix, iy
+        if starts is not None:
+            self.starts = starts
+        for a in (ix, iy, self.starts):
+            a.flags.writeable = False
 
     def __len__(self):
         return self.ix.size
@@ -83,19 +91,15 @@ class AtomMeasure(_CellSet):
     """
 
     def __init__(self, root, resolution, ix, iy, weights):
-        self.root = root
-        self.resolution = float(resolution)
-        self.level = level_for_resolution(root, self.resolution)
-
+        level = level_for_resolution(root, resolution)
         w = np.asarray(weights, dtype=float)
         if not (np.shape(ix) == np.shape(iy) == w.shape):
             raise ValueError("atom arrays must have matching shapes")
         if w.size and w.min() <= 0.0:
             raise ValueError("atom weights must be positive")
-        self.ix, self.iy, self.weights = _canonical_cells(root, self.level,
-                                                          ix, iy, w)
-        for a in (self.ix, self.iy, self.weights):
-            a.flags.writeable = False
+        ix, iy, self.weights = _canonical_cells(root, level, ix, iy, w)
+        self.weights.flags.writeable = False
+        self._set(root, resolution, level, ix, iy)
         self.total = float(self.weights.sum())
 
     def scaled(self, c):
@@ -116,31 +120,14 @@ class LineParamMeasure(AtomMeasure):
     def __init__(self, resolution, ix, iy, weights):
         super().__init__(LINESPACE, resolution, ix, iy, weights)
 
-    def line_params(self):
-        """(theta, r) cell centers as two arrays."""
-        c = self.centers()
-        return c[:, 0], c[:, 1]
 
-
-def _measure_class(root):
-    return PlanarAtomMeasure if root == PLANE else LineParamMeasure
-
-
-@dataclass(frozen=True)
 class PointSet(_CellSet):
     """Finite set of dyadic cells at one resolution (a discretized set)."""
 
-    root: str
-    resolution: float
-    ix: np.ndarray
-    iy: np.ndarray
-
-    def __post_init__(self):
-        level = level_for_resolution(self.root, self.resolution)
-        ix, iy, _ = _canonical_cells(self.root, level, self.ix, self.iy)
-        object.__setattr__(self, "ix", ix)
-        object.__setattr__(self, "iy", iy)
-        object.__setattr__(self, "level", level)
+    def __init__(self, root, resolution, ix, iy):
+        level = level_for_resolution(root, resolution)
+        self._set(root, resolution, level,
+                  *_canonical_cells(root, level, ix, iy)[:2])
 
 
 class CellFamilies(_CellSet):
@@ -170,14 +157,6 @@ class CellFamilies(_CellSet):
             raise ValueError("family numbers must run 0, 1, ... without gaps")
         self._set(root, resolution, level, *_cell_index(root, level, codes),
                   np.flatnonzero(step))
-
-    def _set(self, root, resolution, level, ix, iy, starts):
-        self.root = root
-        self.resolution = float(resolution)
-        self.level = level
-        self.ix, self.iy, self.starts = ix, iy, starts
-        for a in (ix, iy, starts):
-            a.flags.writeable = False
 
     @classmethod
     def concatenate(cls, stores):
@@ -320,8 +299,10 @@ def covering_number(P, rho):
     level = level_for_resolution(P.root, rho)
     if level > P.level:
         raise ValueError("rho must be a dyadic multiple of the resolution")
-    return int(np.unique(_cell_codes(P.root, P.level, P.ix, P.iy,
-                                     P.level - level)).size)
+    if len(P) == 0:
+        return 0
+    return next(codes.size for lv, codes, _, _, _ in _dyadic_levels(P)
+                if lv == level)
 
 
 def radial_projection_covering(q, P):
@@ -350,7 +331,8 @@ def radial_projection_covering(q, P):
 # generators
 
 def _child_count_sequence(s, steps, branching):
-    """Per-level kept-children counts whose products track ceil(2^(j*s)).
+    """Per-level kept-children counts; for s up to log2(branching), their
+    product after j levels lies in [2/3, 2) * 2^(j*s), not monotone in s.
 
     Every kept cell keeps the same number of children at a given level, so
     the tree stays perfectly balanced and the Frostman constant is certified.
@@ -465,7 +447,8 @@ def _generate_measure(root, s, delta, seed, window, style):
             cells = _children(cells, pick)
 
     w = np.full(len(cells), 1.0 / len(cells))
-    m = _measure_class(root)(delta, cells[:, 0], cells[:, 1], w)
+    m = (PlanarAtomMeasure if root == PLANE else LineParamMeasure)(
+        delta, cells[:, 0], cells[:, 1], w)
     _check_generated(m, s, delta, side_at_level(root, top))
     return m
 
@@ -490,8 +473,8 @@ def generate_cantor_measure(s, delta, seed, window=None, style="random"):
     """Deterministic-pseudorandom s-dimensional measure on the plane grid.
 
     Subdivides the window squares down to cell side `delta`, keeping at each
-    level a seeded subset of children so the kept count after j levels tracks
-    ceil(2^(j*s)); kept leaves get equal weights summing to one.  Style
+    level a seeded subset of children so the kept count after j levels is
+    within [2/3, 2) times 2^(j*s); kept leaves get equal weights summing to one.  Style
     "four_corner" builds the classical corner Cantor set (s = 1 only).
     Postconditions (Frostman constant <= 16, covering counts within factor 16
     of the dimension-s law) are verified and raise on failure.

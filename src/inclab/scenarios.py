@@ -47,7 +47,7 @@ def _direction_cantor(counts, rng):
     """Dyadic s-dimensional subset of [1/4, 3/4): interval center angles.
 
     Binary subdivision keeping the per-level child counts `counts` (from
-    `_child_count_sequence(s, steps, 2)`, whose products track 2^(j*s)); the
+    `_child_count_sequence(s, steps, 2)`, products in [2/3, 2) * 2^(j*s)); the
     surviving level-`steps` intervals have width 2^-(steps+1).
     """
     lows = np.array([0.25])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .geometry import level_for_resolution
+from .geometry import PLANE, level_for_resolution
 from .measures import _check_energy_grid
 
 
@@ -348,11 +348,11 @@ def riesz_energy_fourier(m, s):
         raise ValueError("exponent s must lie in (0, 2)")
     if len(m) == 0:
         raise ValueError("empty measure")
-    if m.root != "PLANE":
+    if m.root != PLANE:
         raise ValueError("fourier energy needs a planar measure")
     delta = m.resolution
     n = round(4.0 / delta)
-    level_for_resolution("PLANE", delta)  # validates dyadic resolution
+    level_for_resolution(PLANE, delta)  # validates dyadic resolution
     _check_energy_grid(n, n)
     grid = np.zeros((n, n))
     grid[m.ix, m.iy] = m.weights

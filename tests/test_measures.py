@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inclab.content import smallest_delta_s_constant, smallest_katz_tao_constant
+from inclab.content import (dyadic_content, extract_katz_tao_subset,
+                            smallest_delta_s_constant, smallest_katz_tao_constant)
 from inclab.geometry import LINESPACE, PLANE, grid_shape, side_at_level
 from inclab.experiments import RADIAL_E_WINDOW
-from inclab.measures import (LineParamMeasure, PlanarAtomMeasure, PointSet,
-                             _check_generated, _pair_energy_direct,
+from inclab.measures import (AtomMeasure, CellFamilies, LineParamMeasure,
+                             PlanarAtomMeasure, PointSet, _check_generated,
+                             _child_count_sequence, _pair_energy_direct,
                              _pair_energy_fft, _window_cells,
                              covering_number, frostman_constant,
                              generate_cantor_measure, generate_line_measure,
@@ -128,6 +130,7 @@ def test_covering_number_grid():
     single = PointSet(PLANE, 2.0 ** -5, [7], [9])
     for k in (0, 2, 5):
         assert covering_number(single, 2.0 ** -k) == 1
+        assert covering_number(PointSet(PLANE, 2.0 ** -5, [], []), 2.0 ** -k) == 0
 
 
 def test_covering_number_cantor():
@@ -280,6 +283,38 @@ def test_measure_merges_duplicates():
     m = PlanarAtomMeasure(2.0 ** -4, [3, 3, 5], [4, 4, 6], [0.25, 0.25, 0.5])
     assert len(m) == 2
     assert m.total == pytest.approx(1.0)
+
+
+def test_cell_sets_are_read_only():
+    # the dyadic walk, the content DP and multiscale_cover's searchsorted
+    # read merged, sorted cells, so no cell set may change after it is built
+    delta = 2.0 ** -5
+    P = PointSet(PLANE, delta, [70, 64, 64, 70], [66, 64, 65, 66])
+    m = PlanarAtomMeasure(delta, [70, 64, 64], [66, 64, 65], [1.0, 2.0, 3.0])
+    store = CellFamilies(PLANE, delta, [64, 65, 70], [64, 64, 66], [0, 1, 1])
+    sets = [P, m, store, CellFamilies.concatenate([store, P]),
+            store.family(1), m.support(), *dyadic_content(P, 1.0).cover.values(),
+            extract_katz_tao_subset(P, 1.0)]
+    for cells in sets:
+        arrays = [cells.ix, cells.iy, cells.starts]
+        if isinstance(cells, AtomMeasure):
+            arrays.append(cells.weights)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0] + 1
+
+
+def test_child_count_products_stay_in_a_factor_two_band():
+    # the products after j levels lie in [2/3, 2) * 2^(j*s), but do not
+    # grow with s: at s = 1.0183 they fall below those at s = 1
+    for branching, s_max in ((2, 1.0), (4, 2.0)):
+        for s in np.linspace(s_max / 2000, s_max, 2000):
+            counts = _child_count_sequence(float(s), 29, branching)
+            gap = np.log2(np.cumprod(counts)) - s * np.arange(1, 30)
+            assert -0.585 <= gap.min() and gap.max() < 1.0
+    assert _child_count_sequence(1.0183, 4, 4) == [3, 2, 2, 1]
+    assert _child_count_sequence(1.0, 4, 4) == [2, 2, 2, 2]
 
 
 def test_measure_rejects_bad_atoms():

@@ -1,0 +1,91 @@
+"""Mutation table: each row injects one defect and runs a check that must see it.
+
+A row swaps one line of a function's source for a faulty one (or wraps the
+function), runs a quick-scale `verify` experiment or an existing test with
+the defect in place, and asserts that the experiment fails (its `pass` is
+false, or it stops on its own postcondition) or that the test fails.
+Defects that no check sees are listed in ROADMAP's mutation audit instead.
+"""
+
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from inclab import content, experiments, incidence, scenarios, spectral
+from inclab.measures import PointSet
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import test_incidence  # noqa: E402
+
+QUICK = {name: (run, scales["quick"])
+         for name, run, scales in experiments.VERIFY_PLAN}
+
+
+def mutate(monkeypatch, module, name, old, new):
+    """Rebind every import of `module.name` to the function compiled from its
+    source with the one occurrence of `old` replaced by `new`."""
+    original = getattr(module, name)
+    source = inspect.getsource(original)
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), module.__file__, "exec"),
+         vars(module), namespace)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__dict__", {}).get(name) is original:
+            monkeypatch.setattr(mod, name, namespace[name])
+
+
+def quick_experiment_fails(name):
+    run, kwargs = QUICK[name]
+    try:
+        _, summary = run(seed=0, **kwargs)
+    except AssertionError:  # a postcondition of the experiment's builders
+        return True
+    return not summary["pass"]
+
+
+def test_tube_width_two_delta_in_incidences(monkeypatch):
+    mutate(monkeypatch, incidence, "incidences",
+           "rs[k], delta)", "rs[k], 2 * delta)")
+    with pytest.raises(AssertionError):
+        test_incidence.test_incidence_brute_equals_bucketed_exactly()
+
+
+def test_band_slack_dropped_from_incidences(monkeypatch):
+    mutate(monkeypatch, incidence, "incidences",
+           "slack = 2.0 * math.pi * maxnorm * delta", "slack = 0.0")
+    with pytest.raises(AssertionError):
+        test_incidence.test_incidences_over_delta_are_flat_at_finite_energy(
+            1.3, 0, monkeypatch)
+
+
+def test_xray_angles_shifted_by_one_row(monkeypatch):
+    mutate(monkeypatch, spectral, "xray",
+           "a = 2.0 * math.pi * (i / n)", "a = 2.0 * math.pi * ((i + 1) / n)")
+    assert quick_experiment_fails("fourier-slice")
+
+
+def test_cover_square_doubled_in_dyadic_content(monkeypatch):
+    exact = content.dyadic_content
+
+    def doubled(P, s, max_levels_up=None):
+        # the square of twice the side holding the first coarsest cover
+        # square joins the cover, one level above any other cover square
+        res = exact(P, s, max_levels_up)
+        level = min(res.cover, default=0)
+        if level > 0:
+            sq = res.cover[level]
+            res.cover[level - 1] = PointSet(P.root, 2 * sq.resolution,
+                                            sq.ix[:1] // 2, sq.iy[:1] // 2)
+        return res
+
+    monkeypatch.setattr(content, "dyadic_content", doubled)
+    assert quick_experiment_fails("content-dp")
+
+
+def test_direction_cantor_keeps_one_child_of_two(monkeypatch):
+    mutate(monkeypatch, scenarios, "_direction_cantor",
+           "if mj == 2:", "if mj > 2:")
+    assert quick_experiment_fails("furstenberg")

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.integrate import quad
@@ -178,14 +178,15 @@ def test_adjoint_theta_independent():
     assert center == pytest.approx(np.interp(0.0, r, phi), abs=5e-4)
 
 
-def test_adjoint_duality_random_pairs():
-    rng = np.random.default_rng(0)
-    n = 256
-    for _ in range(8):
-        f, g = random_smooth_pair(rng, n)
-        lhs = plane_inner(adjoint_xray(f), g)
-        rhs = cylinder_inner(f, xray(g))
-        assert abs(lhs - rhs) <= 1e-6 * f.norm_l2() * g.norm_l2()
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+@example(0)
+def test_adjoint_duality_random_pairs(seed):
+    # n = 256: at n = 128 some pairs already leave a gap above 1e-6
+    f, g = random_smooth_pair(np.random.default_rng(seed), 256)
+    lhs = plane_inner(adjoint_xray(f), g)
+    rhs = cylinder_inner(f, xray(g))
+    assert abs(lhs - rhs) <= 1e-6 * f.norm_l2() * g.norm_l2()
 
 
 def test_mixed_fourier_pure_mode():
