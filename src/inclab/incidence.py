@@ -187,7 +187,9 @@ def inequality_sweep(mu, nu, t, deltas):
     """Incidence-to-energy ratio across scales.
 
     For each delta computes the incidence mass, the (3-t)-energy of mu and
-    t-energy of nu (kernels truncated at that delta), and the ratio
+    t-energy of nu (kernels truncated at that delta; `riesz_energy_direct`
+    takes the whole delta sequence as `trunc`, so each measure's pair
+    kernel is built once for all deltas), and the ratio
     incidence / (delta * sqrt(energy_mu * energy_nu)); fits the log-log
     slope of the ratio against 1/delta.  The source abstract pairs the
     energies the other way, I_t(mu) * I_{3-t}(nu); the sweep keeps its own
@@ -196,6 +198,11 @@ def inequality_sweep(mu, nu, t, deltas):
     """
     if not (1.0 < t < 2.0):
         raise ValueError("exponent t must lie in (1, 2)")
+    deltas = sorted(deltas, reverse=True)   # coarse to fine
+    if not deltas:
+        raise ValueError("deltas must not be empty")
+    if not all(0.0 < d <= SWEEP_DELTA_MAX + 1e-12 for d in deltas):
+        raise ValueError(f"deltas must lie in (0, {SWEEP_DELTA_MAX}]")
     pts = mu.centers()
     if len(mu) == 0 or np.hypot(pts[:, 0], pts[:, 1]).max() > 1.0:
         raise ValueError("mu must be supported in the unit ball")
@@ -204,15 +211,12 @@ def inequality_sweep(mu, nu, t, deltas):
         raise ValueError("nu angle support must lie in [1/4, 3/4]")
     if np.abs(rr).max() > 1.0:
         raise ValueError("nu offset support must lie in [-1, 1]")
-    deltas = sorted(deltas, reverse=True)   # coarse to fine
-    if deltas[0] > SWEEP_DELTA_MAX + 1e-12:
-        raise ValueError(f"deltas must be at most {SWEEP_DELTA_MAX}")
 
+    emus = riesz_energy_direct(mu, 3.0 - t, trunc=deltas)
+    enus = riesz_energy_direct(nu, t, trunc=deltas)
     rows = []
-    for d in deltas:
+    for d, emu, enu in zip(deltas, emus, enus):
         inc = incidences(mu, nu, d)
-        emu = riesz_energy_direct(mu, 3.0 - t, trunc=d)
-        enu = riesz_energy_direct(nu, t, trunc=d)
         denom = d * math.sqrt(emu * enu)
         rows.append({
             "delta": d,

@@ -235,6 +235,22 @@ def test_sweep_preconditions():
     assert SWEEP_DELTA_MAX >= 2.0 ** -5
 
 
+@pytest.mark.parametrize("deltas", [
+    [], [math.nan], [2.0 ** -5, math.nan], [0.0], [-2.0 ** -6],
+    [2.0 ** -5, -2.0 ** -6], [math.inf]])
+def test_sweep_rejects_bad_deltas_before_any_work(deltas, monkeypatch):
+    mu = generate_cantor_measure(1.5, 2.0 ** -6, seed=5)
+    nu = generate_line_measure(1.5, 2.0 ** -6, seed=6)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the delta checks")
+
+    monkeypatch.setattr(incidence, "incidences", no_work)
+    monkeypatch.setattr(incidence, "riesz_energy_direct", no_work)
+    with pytest.raises(ValueError, match="deltas"):
+        inequality_sweep(mu, nu, 1.5, deltas)
+
+
 def test_fit_slope():
     xs = [2.0, 4.0, 8.0]
     ys = [1.0, 2.0, 4.0]  # slope 1 in log-log

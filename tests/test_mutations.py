@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from inclab import content, experiments, incidence, scenarios, spectral
+from inclab import content, experiments, incidence, measures, scenarios, spectral
 from inclab.measures import PointSet
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import test_incidence  # noqa: E402
+import test_measures  # noqa: E402
 
 QUICK = {name: (run, scales["quick"])
          for name, run, scales in experiments.VERIFY_PLAN}
@@ -59,6 +60,13 @@ def test_band_slack_dropped_from_incidences(monkeypatch):
     with pytest.raises(AssertionError):
         test_incidence.test_incidences_over_delta_are_flat_at_finite_energy(
             1.3, 0, monkeypatch)
+
+
+def test_coarser_truncations_reuse_the_finest_energy_kernel(monkeypatch):
+    mutate(monkeypatch, measures, "_pair_energy_direct",
+           "k[near] = np.maximum(d[near], trunc) ** -s", "pass")
+    with pytest.raises(AssertionError):
+        test_measures.test_energy_truncation_sequence_matches_single_calls()
 
 
 def test_xray_angles_shifted_by_one_row(monkeypatch):
