@@ -24,11 +24,10 @@ print(f"  angular-average upper bound: {lemma4_upper_bound(mu1, nu1, 0.05):.3f}"
 print("\n== ratio sweep for a dimension-1.5 pair ==")
 mu = generate_cantor_measure(1.5, 2.0 ** -9, seed=1)
 nu = generate_line_measure(1.5, 2.0 ** -9, seed=2)
-table = inequality_sweep(mu, nu, 1.5, [2.0 ** -j for j in range(5, 10)])
+rows, summ = inequality_sweep(mu, nu, 1.5, [2.0 ** -j for j in range(5, 10)])
 print("  delta      incidence   energy_mu   energy_nu   ratio")
-for r in table.rows:
+for r in rows:
     print(f"  {r['delta']:<9.5f}  {r['incidence']:<10.4g}  "
           f"{r['energy_mu']:<10.4g}  {r['energy_nu']:<10.4g}  {r['ratio']:.4f}")
-summ = table.summary()
-print(f"  fitted log-log slope: {table.slope:+.4f}  "
+print(f"  fitted log-log slope: {summ['slope']:+.4f}  "
       f"(bounded ratios: {'yes' if summ['pass'] else 'no'})")

@@ -280,11 +280,10 @@ def exp_incidence_sweep(seed=0, t_values=(1.1, 1.3, 1.5, 1.7, 1.9),
             nu = ms.generate_line_measure(
                 t, resolution, seed=[seed, 6, j],
                 window=_auto_window(LINESPACE, t, resolution))
-            table = inc.inequality_sweep(mu, nu, t, deltas)
-            summ = table.summary()
+            sweep_rows, summ = inc.inequality_sweep(mu, nu, t, deltas)
             summ["seed_index"] = j
             fixture_summaries.append(summ)
-            for r in table.rows:
+            for r in sweep_rows:
                 rows.append({"t": t, "seed_index": j, **r})
     summary = {
         "fixtures": fixture_summaries,

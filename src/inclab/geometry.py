@@ -19,15 +19,23 @@ PLANE = "PLANE"
 LINESPACE = "LINESPACE"
 
 
+def direction(theta):
+    """(cos, sin) of the angle 2 pi theta, the components of e_theta, for a
+    scalar or an array theta.  numpy's cos and sin give the same bits on an
+    angle array as on each of its entries alone, which the tests check."""
+    a = 2.0 * math.pi * np.asarray(theta)
+    return np.cos(a), np.sin(a)
+
+
 def project(p, theta):
     """p . e_theta for points p of shape (..., 2); theta broadcasts against them.
 
     A point p lies on the line (theta, r) up to delta when
     |project(p, theta) - r| <= delta; every incidence test uses this.
     """
-    a = 2.0 * math.pi * np.asarray(theta)
+    c, s = direction(theta)
     p = np.asarray(p, dtype=float)
-    return p[..., 0] * np.cos(a) + p[..., 1] * np.sin(a)
+    return p[..., 0] * c + p[..., 1] * s
 
 
 def root_extent(root):

@@ -7,16 +7,18 @@ halfwidth delta around the line with parameters q, that is when
 |geometry.project(p, theta_q) - r_q| <= delta.  Atoms are identified with
 their cell centers; the delta >= resolution precondition makes the
 center-versus-cell discrepancy a sub-delta perturbation.  There is one
-counting path: angle bands prune the candidate atoms of each line, and one
-per-line kernel sums the incident weights.
+counting path: angle bands prune the candidate atoms of each line, one hit
+test marks the candidates in the line's tube, and one of two reductions
+turns the hits into the line's mass: the sum of their weights in atom
+order, or, when mu's weights are all equal, their count, which fixes that
+same sum.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import project
+from .geometry import direction, project
 from .measures import riesz_energy_direct
 
 # Angle margin required of the line measure in the sweep.  A tube angle
@@ -31,27 +33,21 @@ MAJORANT_SAMPLES = 257  # angles sampled across each 6 delta window
 MAJORANT_BISECTIONS = 45  # bisection steps per sampled crossing
 
 
-def _line_sum(cand_pts, cand_idx, w, theta, r, delta):
-    """np.sum, in ascending atom order, of the weights of the candidate atoms
-    (indices cand_idx, centers cand_pts) that lie within delta of the line
-    (theta, r).
-
-    Every candidate set that holds all the incident atoms gives the same
-    bits, since the incident weights are always summed in atom order.
-    """
-    hit = cand_idx[np.abs(project(cand_pts, theta) - r) <= delta]
-    return np.sum(w[np.sort(hit)])
-
-
 def incidences(mu, nu, delta):
     """Weighted incidence mass between mu-atoms and nu-tubes at width delta.
 
     Lines are bucketed into angle bands of width delta; within a band the
     atoms are sorted by their projection at the band center, and each line
     takes as candidates the atoms whose projection there lies within delta
-    plus the band's angular slack of its offset.  The result equals testing
-    every pair, bit for bit.  Requires delta >= both resolutions.
+    plus the band's angular slack of its offset.  One hit test per line
+    marks the candidates in its tube; the line's mass is the np.sum, in
+    atom order, of their weights.  When mu's weights are all equal that sum
+    depends only on the number of hits, so the hits are counted and each
+    count's sum is taken once.  The result equals testing every pair, bit
+    for bit.  Requires a finite delta >= both resolutions.
     """
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     if delta < max(mu.resolution, nu.resolution):
         raise ValueError("delta must be at least the atom resolutions")
     if len(mu) == 0 or len(nu) == 0:
@@ -59,10 +55,11 @@ def incidences(mu, nu, delta):
 
     pts = mu.centers()
     w = mu.weights
+    uniform = bool(np.all(w == w[0]))
     thetas, rs = nu.centers().T
     v = nu.weights
 
-    sums = np.empty(len(thetas))
+    sums = np.empty(len(thetas))  # hit counts when mu is uniform
     maxnorm = float(np.abs(pts).max()) * math.sqrt(2.0) + 1e-12
     bands = np.floor(thetas / delta).astype(np.int64)
     order = np.argsort(bands, kind="stable")
@@ -71,12 +68,18 @@ def incidences(mu, nu, delta):
         proj0 = project(pts, (b + 0.5) * delta)
         rank = np.argsort(proj0, kind="stable")
         sorted_proj = proj0[rank]
-        sorted_pts = pts[rank]
-        for k in order[bands[order] == b]:
-            lo = np.searchsorted(sorted_proj, rs[k] - delta - slack)
-            hi = np.searchsorted(sorted_proj, rs[k] + delta + slack)
-            sums[k] = _line_sum(sorted_pts[lo:hi], rank[lo:hi], w,
-                                thetas[k], rs[k], delta)
+        sx, sy = pts[rank, 0], pts[rank, 1]
+        lines = order[bands[order] == b]
+        los = np.searchsorted(sorted_proj, rs[lines] - delta - slack)
+        his = np.searchsorted(sorted_proj, rs[lines] + delta + slack)
+        for k, lo, hi, c, s in zip(lines, los, his, *direction(thetas[lines])):
+            hit = np.abs(sx[lo:hi] * c + sy[lo:hi] * s - rs[k]) <= delta
+            sums[k] = (np.count_nonzero(hit) if uniform
+                       else np.sum(w[np.sort(rank[lo:hi][hit])]))
+    if uniform:
+        # np.sum of c equal weights, as the weighted reduction would sum them
+        counts, inverse = np.unique(sums, return_inverse=True)
+        sums = np.array([np.sum(np.full(int(c), w[0])) for c in counts])[inverse]
 
     return math.fsum(float(v[k]) * float(sums[k]) for k in range(len(v)))
 
@@ -132,9 +135,11 @@ def lemma4_upper_bound(mu, nu, delta):
     For each atom pair, measures the set of angles theta at which the point
     (theta, proj_theta(p)) falls in the 3*delta ball around the line
     parameter q, and aggregates delta^-1 * sum w_p v_q * measure.  This
-    dominates the incidence count; tube angles must keep a delta margin
-    from the seam.
+    dominates the incidence count.  delta must be finite and positive, and
+    tube angles must keep a delta margin from the seam.
     """
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be finite and positive")
     thetas, rs = nu.centers().T
     if thetas.min() < delta or thetas.max() > 1.0 - delta:
         raise ValueError("theta margin violated: tube angles within delta of the seam")
@@ -145,29 +150,6 @@ def lemma4_upper_bound(mu, nu, delta):
         meas = _interval_measure(float(thetas[k]), float(rs[k]), pts, delta)
         total += float(nu.weights[k]) * float(np.dot(w, meas))
     return total / delta
-
-
-@dataclass
-class RatioTable:
-    t: float
-    rows: list  # dicts: delta, incidence, energy_mu, energy_nu, ratio
-    slope: float
-
-    def summary(self):
-        ratios = [r["ratio"] for r in self.rows]
-        coarsest = ratios[0] if ratios else 0.0
-        max_ratio = max(ratios) if ratios else 0.0
-        growth_ok = (max_ratio <= SWEEP_GROWTH_MAX * coarsest
-                     if coarsest > 0 else True)
-        return {
-            "t": self.t,
-            "slope": self.slope,
-            "max_ratio": max_ratio,
-            "coarsest_ratio": coarsest,
-            "pass_slope": bool(self.slope <= SWEEP_SLOPE_MAX),
-            "pass_growth": bool(growth_ok),
-            "pass": bool(self.slope <= SWEEP_SLOPE_MAX and growth_ok),
-        }
 
 
 def fit_slope(inv_deltas, values):
@@ -194,7 +176,8 @@ def inequality_sweep(mu, nu, t, deltas):
     slope of the ratio against 1/delta.  The source abstract pairs the
     energies the other way, I_t(mu) * I_{3-t}(nu); the sweep keeps its own
     pairing so the ratios criterion 5 reports stay put, and the tests check
-    the abstract's pairing on the quick fixtures.
+    the abstract's pairing on the quick fixtures.  Returns (rows, summary),
+    the summary from `sweep_summary`.
     """
     if not (1.0 < t < 2.0):
         raise ValueError("exponent t must lie in (1, 2)")
@@ -225,6 +208,24 @@ def inequality_sweep(mu, nu, t, deltas):
             "energy_nu": enu,
             "ratio": inc / denom if denom > 0 else 0.0,
         })
-    slope = fit_slope([1.0 / r["delta"] for r in rows],
-                      [r["ratio"] for r in rows])
-    return RatioTable(t, rows, slope)
+    return rows, sweep_summary(t, rows)
+
+
+def sweep_summary(t, rows):
+    """The slope and growth rules on sweep rows (each with its delta and
+    ratio, coarsest delta first), with the fitted slope and the ratios they
+    read."""
+    ratios = [r["ratio"] for r in rows]
+    slope = fit_slope([1.0 / r["delta"] for r in rows], ratios)
+    coarsest = ratios[0]
+    max_ratio = max(ratios)
+    growth_ok = coarsest <= 0 or max_ratio <= SWEEP_GROWTH_MAX * coarsest
+    return {
+        "t": t,
+        "slope": slope,
+        "max_ratio": max_ratio,
+        "coarsest_ratio": coarsest,
+        "pass_slope": bool(slope <= SWEEP_SLOPE_MAX),
+        "pass_growth": bool(growth_ok),
+        "pass": bool(slope <= SWEEP_SLOPE_MAX and growth_ok),
+    }

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from inclab.geometry import project, projection_range
+from inclab.geometry import direction, project, projection_range
 
 
 def test_dist_to_line_on_line():
@@ -39,6 +39,16 @@ def test_project_translation_invariance():
     assert grid.shape == (7, 50)
     for i in range(7):
         assert np.array_equal(grid[i], project(p[:50], theta[i]))
+
+
+def test_direction_of_an_angle_array_matches_each_angle_alone():
+    # incidences takes cos and sin of a whole band's angles at once and
+    # tests each line as project does, which takes them of one 0-d angle;
+    # project of a unit vector returns that cos or sin unchanged
+    theta = np.random.default_rng(0).random(20000)
+    c, s = direction(theta)
+    assert c.tobytes() == np.array([project((1.0, 0.0), t) for t in theta]).tobytes()
+    assert s.tobytes() == np.array([project((0.0, 1.0), t) for t in theta]).tobytes()
 
 
 def test_projection_range_matches_dense_sampling():

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from inclab import incidence
 from inclab.experiments import _auto_window
-from inclab.geometry import LINESPACE, PLANE
-from inclab.incidence import (SWEEP_DELTA_MAX, RatioTable, _line_sum,
-                              fit_slope, incidences, inequality_sweep,
-                              lemma4_upper_bound)
+from inclab.geometry import LINESPACE, PLANE, project
+from inclab.incidence import (SWEEP_DELTA_MAX, fit_slope, incidences,
+                              inequality_sweep, lemma4_upper_bound,
+                              sweep_summary)
 from inclab.measures import (LineParamMeasure, PlanarAtomMeasure,
                              generate_cantor_measure, generate_line_measure,
                              riesz_energy_direct)
@@ -27,12 +27,12 @@ def line_atom(delta, theta, r, weight=1.0):
 
 
 def brute_incidences(mu, nu, delta):
-    # every atom is a candidate of every line
+    # every pair is tested, and each line sums its incident weights with
+    # np.sum in atom order
     pts = mu.centers()
-    every = np.arange(len(mu))
     thetas, rs = nu.centers().T
     return math.fsum(
-        float(v) * float(_line_sum(pts, every, mu.weights, th, r, delta))
+        float(v) * float(np.sum(mu.weights[np.abs(project(pts, th) - r) <= delta]))
         for v, th, r in zip(nu.weights, thetas, rs))
 
 
@@ -56,7 +56,8 @@ def test_incidence_far_line():
 def test_incidence_brute_equals_bucketed_exactly(data):
     # up to 1000 atoms near the origin and 1000 tubes with angles in
     # [1/4, 3/4) and offsets in [-1, 1), all at resolution 2^-7; the drawn
-    # seed places them, so few cells repeat and the candidate sets are large
+    # seed places them, so few cells repeat and the candidate sets are large.
+    # mu's weights are random, or all equal so that incidences counts hits
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
 
     def atoms(x_range, y_range):
@@ -65,6 +66,9 @@ def test_incidence_brute_equals_bucketed_exactly(data):
                 rng.uniform(0.01, 1.0, size))
 
     mu = PlanarAtomMeasure(2.0 ** -7, *atoms((200, 312), (200, 312)))
+    if data.draw(st.booleans()):
+        mu = PlanarAtomMeasure(mu.resolution, mu.ix, mu.iy,
+                               np.full(len(mu), mu.weights[0]))
     nu = LineParamMeasure(2.0 ** -7, *atoms((32, 96), (128, 384)))
     deltas = st.one_of(st.sampled_from([2.0 ** -k for k in range(3, 8)]),
                        st.floats(2.0 ** -7, 2.0 ** -3))
@@ -96,6 +100,9 @@ def test_incidence_resolution_precondition():
     nu = line_atom(2.0 ** -5, 0.5, 0.0)
     with pytest.raises(ValueError):
         incidences(mu, nu, 2.0 ** -6)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            incidences(mu, nu, delta)
 
 
 def test_lemma4_point_at_origin():
@@ -138,6 +145,10 @@ def test_lemma4_theta_margin():
     nu = line_atom(2.0 ** -7, 0.001, 0.0)
     with pytest.raises(ValueError, match="theta margin"):
         lemma4_upper_bound(mu, nu, 0.01)
+    nu = line_atom(2.0 ** -7, 0.5, 0.0)
+    for delta in (math.nan, math.inf, 0.0, -0.01):
+        with pytest.raises(ValueError, match="finite and positive"):
+            lemma4_upper_bound(mu, nu, delta)
 
 
 def test_sweep_far_atoms_all_zero():
@@ -145,28 +156,27 @@ def test_sweep_far_atoms_all_zero():
     k = round(2.0 / delta)
     mu = PlanarAtomMeasure(delta, [k + round(0.5 / delta)], [k], [1.0])
     nu = line_atom(delta, 0.5, -0.9)
-    table = inequality_sweep(mu, nu, 1.5, [2.0 ** -5, 2.0 ** -6, 2.0 ** -7])
-    assert all(r["ratio"] == 0.0 for r in table.rows)
-    assert table.slope == 0.0
+    rows, summ = inequality_sweep(mu, nu, 1.5, [2.0 ** -5, 2.0 ** -6, 2.0 ** -7])
+    assert all(r["ratio"] == 0.0 for r in rows)
+    assert summ["slope"] == 0.0
 
 
 def test_sweep_scaling_invariance():
     mu = generate_cantor_measure(1.5, 2.0 ** -7, seed=1)
     nu = generate_line_measure(1.5, 2.0 ** -7, seed=2)
     deltas = [2.0 ** -5, 2.0 ** -6]
-    a = inequality_sweep(mu, nu, 1.5, deltas)
-    b = inequality_sweep(mu.scaled(3.0), nu.scaled(3.0), 1.5, deltas)
-    for ra, rb in zip(a.rows, b.rows):
+    a, _ = inequality_sweep(mu, nu, 1.5, deltas)
+    b, _ = inequality_sweep(mu.scaled(3.0), nu.scaled(3.0), 1.5, deltas)
+    for ra, rb in zip(a, b):
         assert rb["ratio"] == pytest.approx(ra["ratio"], rel=1e-9)
 
 
 def test_sweep_acceptance_style_fixture():
     mu = generate_cantor_measure(1.5, 2.0 ** -9, seed=3)
     nu = generate_line_measure(1.5, 2.0 ** -9, seed=4)
-    table = inequality_sweep(mu, nu, 1.5, [2.0 ** -k for k in range(5, 10)])
-    assert len(table.rows) == 5
-    assert table.slope <= 0.1
-    summ = table.summary()
+    rows, summ = inequality_sweep(mu, nu, 1.5, [2.0 ** -k for k in range(5, 10)])
+    assert len(rows) == 5
+    assert summ["slope"] <= 0.1
     assert summ["pass"]
 
 
@@ -186,10 +196,8 @@ def test_abstract_energy_pairing_passes_the_sweep_rules(t, seed):
     rows = [{"delta": d, "ratio": incidences(mu, nu, d) / (d * math.sqrt(
         riesz_energy_direct(mu, t, trunc=d)
         * riesz_energy_direct(nu, 3.0 - t, trunc=d)))} for d in deltas]
-    ratios = [r["ratio"] for r in rows]
-    summ = RatioTable(t, rows, fit_slope([1.0 / d for d in deltas],
-                                         ratios)).summary()
-    assert min(ratios) > 0.0
+    summ = sweep_summary(t, rows)
+    assert min(r["ratio"] for r in rows) > 0.0
     assert summ["pass_slope"] and summ["pass_growth"]
 
 
