@@ -30,7 +30,7 @@ err = np.abs(Rg.values - np.exp(-np.pi * r ** 2)[None, :]).max()
 print(f"  max |Rg(theta, r) - exp(-pi r^2)| = {err:.2e}")
 
 print("\n== projection slice identity ==")
-res = slice_identity_residual(gauss, sample_size=256, seed=0)
+res = slice_identity_residual(gauss, Rg, sample_size=256, seed=0)
 print(f"  max |(Rg)~(theta, rho) - g_hat(rho e_theta)| = {res:.2e} on a "
       "random frequency sample")
 

@@ -77,8 +77,7 @@ def _random_cylinder_function(rng, n):
 
 # ---------------------------------------------------------------------------
 
-def _mass_error(g):
-    Rg = sp.xray(g)
+def _mass_error(g, Rg):
     masses = Rg.values.sum(axis=1) * Rg.dr
     true_mass = float(g.values.sum()) * g.h ** 2
     return float(np.abs(masses / true_mass - 1.0).max())
@@ -90,13 +89,22 @@ def exp_xray_check(seed=0, n=512, duality_n=256, duality_each=10):
         n, lambda X, Y: np.exp(-math.pi * (X ** 2 + Y ** 2)))
     gauss_half = sp.PlanarGrid.from_function(
         n // 2, lambda X, Y: np.exp(-math.pi * (X ** 2 + Y ** 2)))
-    res_full = sp.slice_identity_residual(gauss, seed=seed)
-    res_half = sp.slice_identity_residual(gauss_half, seed=seed)
-
     rng = np.random.default_rng([seed, 1])
     gs = [_random_plane_function(rng, duality_n) for _ in range(duality_each)]
     fs = [_random_cylinder_function(rng, duality_n) for _ in range(duality_each)]
-    rgs = [sp.xray(g) for g in gs]
+    # weight conservation on a compactly supported smooth bump (a Gaussian
+    # leaves an n-independent tail outside the integration window)
+    rng_m = np.random.default_rng([seed, 11])
+    c = rng_m.uniform(-0.5, 0.5, 2)
+    w = rng_m.uniform(0.5, 0.7)
+    bump = _compact_bump(n, c, w)
+    bump_half = _compact_bump(n // 2, c, w)
+    # one call, so grids of a side share each angle's sample geometry
+    r_gauss, r_gauss_half, r_bump, r_bump_half, *rgs = sp._xray(
+        [gauss, gauss_half, bump, bump_half] + gs)
+
+    res_full = sp.slice_identity_residual(gauss, r_gauss, seed=seed)
+    res_half = sp.slice_identity_residual(gauss_half, r_gauss_half, seed=seed)
     rstars = [sp.adjoint_xray(f) for f in fs]
     gaps = []
     for f, rf in zip(fs, rstars):
@@ -105,16 +113,8 @@ def exp_xray_check(seed=0, n=512, duality_n=256, duality_each=10):
             rhs = sp.cylinder_inner(f, rg)
             gaps.append(abs(lhs - rhs) / (f.norm_l2() * g.norm_l2()))
     max_gap = max(gaps)
-
-    # weight conservation on a compactly supported smooth bump (a Gaussian
-    # leaves an n-independent tail outside the integration window)
-    rng_m = np.random.default_rng([seed, 11])
-    c = rng_m.uniform(-0.5, 0.5, 2)
-    w = rng_m.uniform(0.5, 0.7)
-    bump = _compact_bump(n, c, w)
-    bump_half = _compact_bump(n // 2, c, w)
-    mass_err = _mass_error(bump)
-    mass_err_half = _mass_error(bump_half)
+    mass_err = _mass_error(bump, r_bump)
+    mass_err_half = _mass_error(bump_half, r_bump_half)
 
     rows = [{"check": "slice_residual", "n": n, "value": res_full},
             {"check": "slice_residual", "n": n // 2, "value": res_half},

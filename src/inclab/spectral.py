@@ -84,6 +84,10 @@ class CylinderGrid:
         v = np.asarray(self.values)
         if v.ndim != 2:
             raise ValueError("cylinder grid must be 2d")
+        if 0 in v.shape:
+            raise ValueError("cylinder grid axes must not be empty")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("grid values must be finite")
         self.values = v
 
     @property
@@ -122,6 +126,72 @@ def _check_support(g):
         raise ValueError("support too large")
 
 
+_BLOCK_SAMPLES = 1 << 14  # samples per block of one angle's rows in `_xray`
+
+
+def _xray(grids):
+    """`xray` of each grid in a list, sharing the sample geometry.
+
+    Grids of one side n share each angle's sample points, corner indices
+    and bilinear weights: they are built once per angle and gathered from
+    every grid of that side.  Each angle's rows are marched in blocks of at
+    most about `_BLOCK_SAMPLES` samples (one block up to n = 128, four at
+    n = 256, thirteen at n = 512), so the per-angle temporaries stay small
+    whatever n is; every row's sum is the same, block or not.
+    """
+    for g in grids:
+        if np.iscomplexobj(g.values):
+            raise ValueError("xray input must be real")
+        _check_support(g)
+    out = [None] * len(grids)
+    sides = {}
+    for k, g in enumerate(grids):
+        sides.setdefault(g.n, []).append(k)
+    for n, ks in sides.items():
+        h = 4.0 / n
+        rs = _cell_centers(n)
+        m = int(math.ceil(2.0 * _MARCH_MAX / h))
+        u = (np.arange(m) - 0.5 * (m - 1)) * h
+        active = np.flatnonzero(np.abs(rs) <= _MARCH_MAX)
+        blocks = np.array_split(active, -(-active.size * m // _BLOCK_SAMPLES))
+        # rows n, n + 1 and column n are zero; a point off the grid reads the
+        # 2 x 2 zero block at (n, 0), since a zero weight on a negative value
+        # would leave -0.0 where the reference has 0.0
+        stride = n + 1
+        flats, vals = [], []
+        for k in ks:
+            padded = np.zeros((n + 2, stride))
+            padded[:n, :n] = grids[k].values
+            flats.append(padded.ravel())
+            vals.append(np.zeros((n, n)))
+        half = n // 2
+        for i in range(half):
+            a = 2.0 * math.pi * (i / n)
+            c, s = math.cos(a), math.sin(a)
+            for rows in blocks:
+                ra = rs[rows]
+                ci = (ra[:, None] * c + u[None, :] * s + 2.0) / h - 0.5
+                cj = (ra[:, None] * s - u[None, :] * c + 2.0) / h - 0.5
+                fi = np.floor(ci)
+                fj = np.floor(cj)
+                wx0 = 1.0 - (ci - fi)
+                wx1 = 1.0 - wx0
+                wy0 = 1.0 - (cj - fj)
+                wy1 = 1.0 - wy0
+                k00 = fi.astype(np.intp) * stride + fj.astype(np.intp)
+                k00[(ci < 0) | (ci > n - 1) | (cj < 0) | (cj > n - 1)] = n * stride
+                k01, k10, k11 = k00 + 1, k00 + stride, k00 + stride + 1
+                for flat, v in zip(flats, vals):
+                    line = (((flat[k00] * wx0) * wy0) + ((flat[k01] * wx0) * wy1)
+                            + ((flat[k10] * wx1) * wy0)
+                            + ((flat[k11] * wx1) * wy1))
+                    v[i, rows] = line.sum(axis=1) * h
+        for k, v in zip(ks, vals):
+            v[half:] = v[:half, ::-1]
+            out[k] = CylinderGrid(v)
+    return out
+
+
 def xray(g):
     """Line-integral transform: Rg(theta, r) = integral of g over the line.
 
@@ -137,47 +207,7 @@ def xray(g):
     [0, 1/2) are marched (n is even); row i + n/2 is row i reversed, since
     Rg(theta + 1/2, r) = Rg(theta, -r) and the r grid is symmetric about 0.
     """
-    if np.iscomplexobj(g.values):
-        raise ValueError("xray input must be real")
-    _check_support(g)
-    n, h = g.n, g.h
-    rs = g.axis()
-
-    m = int(math.ceil(2.0 * _MARCH_MAX / h))
-    u = (np.arange(m) - 0.5 * (m - 1)) * h
-
-    active = np.abs(rs) <= _MARCH_MAX
-    ra = rs[active]
-    out = np.zeros((n, n))
-    # rows n, n + 1 and column n are zero; a point off the grid reads the
-    # 2 x 2 zero block at (n, 0), since a zero weight on a negative value
-    # would leave -0.0 where the reference has 0.0
-    stride = n + 1
-    padded = np.zeros((n + 2, stride))
-    padded[:n, :n] = g.values
-    flat = padded.ravel()
-    half = n // 2
-    for i in range(half):
-        a = 2.0 * math.pi * (i / n)
-        c, s = math.cos(a), math.sin(a)
-        px = ra[:, None] * c + u[None, :] * s
-        py = ra[:, None] * s - u[None, :] * c
-        ci = (px + 2.0) / h - 0.5
-        cj = (py + 2.0) / h - 0.5
-        fi = np.floor(ci)
-        fj = np.floor(cj)
-        wx0 = 1.0 - (ci - fi)
-        wx1 = 1.0 - wx0
-        wy0 = 1.0 - (cj - fj)
-        wy1 = 1.0 - wy0
-        k = fi.astype(np.intp) * stride + fj.astype(np.intp)
-        k[(ci < 0) | (ci > n - 1) | (cj < 0) | (cj > n - 1)] = n * stride
-        line = (((flat[k] * wx0) * wy0) + ((flat[k + 1] * wx0) * wy1)
-                + ((flat[k + stride] * wx1) * wy0)
-                + ((flat[k + stride + 1] * wx1) * wy1))
-        out[i, active] = line.sum(axis=1) * h
-    out[half:] = out[:half, ::-1]
-    return CylinderGrid(out)
+    return _xray([g])[0]
 
 
 def adjoint_xray(f):
@@ -292,18 +322,25 @@ def sobolev_norm_cylinder(f, s):
     Returns the norm (square root of the weighted spectral sum).  For
     s in (-1/2, 0) the (0, 0) bin uses the bin-averaged weight; for
     s <= -1/2 that bin diverges, is excluded, and a warning reports it.
+    A sequence of exponents gives a list of norms, one per entry, from one
+    spectrum.
     """
-    if not (-1.0 <= s <= 1.0):
+    exps = [float(x) for x in np.atleast_1d(s)]
+    if not all(-1.0 <= x <= 1.0 for x in exps):
         raise ValueError("exponent s must lie in [-1, 1]")
-    spec, modes, rhos = mixed_fourier(f)
-    drho = rhos[1] - rhos[0]
-    if s <= -0.5:
+    if any(x <= -0.5 for x in exps):
         warnings.warn("zero-frequency bin excluded for s <= -1/2",
                       stacklevel=2)
-    zero_avg = _zero_bin_average_1d(s, drho) if s > -0.5 else 0.0
-    w = _cusp_weight(modes, rhos, s, zero_avg)
-    total = np.sum(np.abs(spec) ** 2 * w) * drho
-    return math.sqrt(float(total))
+    spec, modes, rhos = mixed_fourier(f)
+    drho = rhos[1] - rhos[0]
+    power = np.abs(spec) ** 2
+    del spec
+    norms = []
+    for e in exps:
+        zero_avg = _zero_bin_average_1d(e, drho) if e > -0.5 else 0.0
+        w = _cusp_weight(modes, rhos, e, zero_avg)
+        norms.append(math.sqrt(float(np.sum(power * w) * drho)))
+    return norms[0] if np.ndim(s) == 0 else norms
 
 
 def plane_fourier(g):
@@ -321,15 +358,21 @@ def sobolev_norm_plane(g, s):
     """Homogeneous Sobolev norm on the plane: weight |xi|^(2s).
 
     The zero-frequency bin uses the square-bin averaged weight for s < 0
-    (finite for s > -1).
+    (finite for s > -1).  A sequence of exponents gives a list of norms,
+    one per entry, from one spectrum.
     """
-    if not (-1.0 < s <= 1.0):
+    exps = [float(x) for x in np.atleast_1d(s)]
+    if not all(-1.0 < x <= 1.0 for x in exps):
         raise ValueError("exponent s must lie in (-1, 1]")
     spec, xi = plane_fourier(g)
     step = xi[1] - xi[0]
-    w = _cusp_weight(xi, xi, s, _zero_bin_average_2d(s, step))
-    total = np.sum(np.abs(spec) ** 2 * w) * step * step
-    return math.sqrt(float(total))
+    power = np.abs(spec) ** 2
+    del spec
+    norms = []
+    for e in exps:
+        w = _cusp_weight(xi, xi, e, _zero_bin_average_2d(e, step))
+        norms.append(math.sqrt(float(np.sum(power * w) * step * step)))
+    return norms[0] if np.ndim(s) == 0 else norms
 
 
 def riesz_gamma(s):
@@ -389,15 +432,18 @@ def nonuniform_plane_fourier(g, points):
     return out
 
 
-def slice_identity_residual(g, sample_size=512, seed=0):
-    """Max gap between the r-transform of xray(g) and the planar spectrum.
+def slice_identity_residual(g, Rg, sample_size=512, seed=0):
+    """Max gap between the r-transform of Rg = xray(g) and the planar spectrum.
 
     Compares (Rg)~(theta, rho) against g_hat(rho e_theta) on a seeded sample
     of (theta, rho) pairs with |rho| <= n/8; the planar side is evaluated by
     exact nonuniform summation, so the residual isolates the transform
     discretization error.
     """
-    Rg = xray(g)
+    if Rg.values.shape != (g.n, g.n):
+        raise ValueError("transform shape must be (n, n) for an n x n grid")
+    if sample_size < 1:
+        raise ValueError("sample size must be at least 1")
     spec, rhos = _r_fourier(Rg.values, Rg.dr, 1)
     thetas = Rg.thetas()
 
@@ -439,16 +485,16 @@ def smoothing_ratio(g, s_values, chi):
     |R(g chi)|_{s+1/2} / |g|_s.
 
     chi must be the smooth cutoff (1 on B(1), supported in B(1.5)); the
-    ratios are of norms, not squared norms.  R(g chi) does not depend on s,
-    so it is computed once for all of them.
+    ratios are of norms, not squared norms.  R(g chi) and both spectra do
+    not depend on s, so each is computed once for all of them.
     """
     if not all(-0.5 <= s <= 0.5 for s in s_values):
         raise ValueError("exponent s must lie in [-1/2, 1/2]")
     if g.n != chi.n:
         raise ValueError("cutoff grid size must match the input")
-    dens = [sobolev_norm_plane(g, s) for s in s_values]
+    dens = sobolev_norm_plane(g, list(s_values))
     if 0.0 in dens:
         raise ValueError("zero denominator: input has vanishing Sobolev norm")
     transform = xray(PlanarGrid(g.values * chi.values))
-    return [sobolev_norm_cylinder(transform, s + 0.5) / den
-            for s, den in zip(s_values, dens)]
+    nums = sobolev_norm_cylinder(transform, [s + 0.5 for s in s_values])
+    return [num / den for num, den in zip(nums, dens)]

@@ -19,6 +19,7 @@ from inclab.measures import PointSet
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import test_incidence  # noqa: E402
 import test_measures  # noqa: E402
+import test_spectral  # noqa: E402
 
 QUICK = {name: (run, scales["quick"])
          for name, run, scales in experiments.VERIFY_PLAN}
@@ -80,9 +81,19 @@ def test_coarser_truncations_reuse_the_finest_energy_kernel(monkeypatch):
 
 
 def test_xray_angles_shifted_by_one_row(monkeypatch):
-    mutate(monkeypatch, spectral, "xray",
+    mutate(monkeypatch, spectral, "_xray",
            "a = 2.0 * math.pi * (i / n)", "a = 2.0 * math.pi * ((i + 1) / n)")
     assert quick_experiment_fails("fourier-slice")
+
+
+def test_sequence_norm_reuses_the_first_cusp_weight(monkeypatch):
+    # criterion 3 does not see this one: the quick and desk smoothing bands
+    # stay far inside SMOOTHING_BAND, so the sharing test must
+    weight = "_cusp_weight(xi, xi, e, _zero_bin_average_2d(e, step))"
+    mutate(monkeypatch, spectral, "sobolev_norm_plane",
+           f"w = {weight}", f"w = w if norms else {weight}")
+    with pytest.raises(AssertionError):
+        test_spectral.test_smoothing_ratio_shares_one_transform_across_s()
 
 
 def test_cover_square_doubled_in_dyadic_content(monkeypatch):

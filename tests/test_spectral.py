@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.integrate import quad
 
+from inclab import spectral
 from inclab.measures import PlanarAtomMeasure, generate_cantor_measure
-from inclab.spectral import (_MARCH_MAX, CylinderGrid, PlanarGrid, adjoint_xray,
+from inclab.spectral import (_MARCH_MAX, CylinderGrid, PlanarGrid, _xray, adjoint_xray,
                              canonical_cutoff, cylinder_inner, mixed_fourier,
                              plane_inner, riesz_energy_fourier, riesz_gamma,
                              slice_identity_residual, smoothing_ratio,
@@ -92,6 +93,24 @@ def test_xray_matches_map_coordinates_oracle(n):
     for _ in range(3):
         g = random_bumps(rng, n)
         assert_bits_equal(xray(g).values[:n // 2], xray_oracle(g)[:n // 2])
+
+
+def test_xray_blocks_match_map_coordinates_oracle(monkeypatch):
+    # rows marched in blocks of about 1,000 samples (one n = 64 angle has
+    # 3,136), as n = 256 and n = 512 are by default
+    monkeypatch.setattr(spectral, "_BLOCK_SAMPLES", 1000)
+    n = 64
+    g = random_bumps(np.random.default_rng(11), n)
+    assert_bits_equal(xray(g).values[:n // 2], xray_oracle(g)[:n // 2])
+
+
+def test_batched_xray_equals_per_grid_xray():
+    rng = np.random.default_rng(12)
+    grids = [random_bumps(rng, n) for n in (16, 32, 64, 128) for _ in range(2)]
+    order = rng.permutation(len(grids))
+    batched = _xray([grids[k] for k in order])
+    for k, Rg in zip(order, batched):
+        assert_bits_equal(Rg.values, xray(grids[k]).values)
 
 
 def test_xray_half_turn_mirror_is_exact():
@@ -264,6 +283,59 @@ def test_sobolev_cylinder_endpoint_exclusion_warns():
     assert any("zero-frequency bin excluded" in str(x.message) for x in w)
 
 
+def test_sobolev_sequences_match_scalar_calls():
+    rng = np.random.default_rng(13)
+    g = random_bumps(rng, 64)
+    f = CylinderGrid(rng.standard_normal((32, 32)))
+    plane_s = (0.5, -0.75, 0.0, -0.25, 1.0, 0.5)
+    cyl_s = (0.25, -1.0, 0.0, 1.0, -0.5, -0.3)
+    assert_bits_equal(np.array(sobolev_norm_plane(g, plane_s)),
+                      np.array([sobolev_norm_plane(g, s) for s in plane_s]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert_bits_equal(np.array(sobolev_norm_cylinder(f, cyl_s)),
+                          np.array([sobolev_norm_cylinder(f, s) for s in cyl_s]))
+    assert isinstance(sobolev_norm_plane(g, 0.5), float)
+    assert sobolev_norm_plane(g, [0.5]) == [sobolev_norm_plane(g, 0.5)]
+
+
+def test_sobolev_cylinder_sequence_warns_once():
+    f = CylinderGrid(np.random.default_rng(14).standard_normal((32, 32)))
+    for exps, count in (((0.5, -0.5, -1.0, 0.0), 1), ((0.5, 0.0), 0)):
+        with warnings.catch_warnings(record=True) as w:
+            warnings.simplefilter("always")
+            sobolev_norm_cylinder(f, exps)
+        assert sum("zero-frequency bin excluded" in str(x.message)
+                   for x in w) == count
+
+
+def test_sobolev_bad_exponent_raises_before_any_fft(monkeypatch):
+    def no_fft(*args, **kwargs):
+        raise AssertionError("spectrum computed before the exponents were checked")
+
+    monkeypatch.setattr(spectral, "plane_fourier", no_fft)
+    monkeypatch.setattr(spectral, "mixed_fourier", no_fft)
+    g = PlanarGrid(np.zeros((16, 16)))
+    f = CylinderGrid(np.zeros((16, 16)))
+    for exps in ((0.0, 0.5, -1.0), (1.5, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="exponent"):
+            sobolev_norm_plane(g, exps)
+    for exps in ((0.0, 0.5, -1.5), (0.0, 1.01), (math.nan,)):
+        with pytest.raises(ValueError, match="exponent"):
+            sobolev_norm_cylinder(f, exps)
+
+
+def test_cylinder_grid_rejects_non_finite_values_and_empty_axes():
+    with pytest.raises(ValueError, match="finite"):
+        sobolev_norm_cylinder(CylinderGrid(np.full((16, 16), np.nan)), 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        CylinderGrid(np.where(np.eye(8) > 0, np.inf, 1.0))
+    with pytest.raises(ValueError, match="empty"):
+        adjoint_xray(CylinderGrid(np.zeros((0, 16))))
+    with pytest.raises(ValueError, match="empty"):
+        CylinderGrid(np.zeros((16, 0)))
+
+
 def test_sobolev_plane_gaussian():
     g = gaussian_grid(512)
     assert sobolev_norm_plane(g, 0.0) ** 2 == pytest.approx(0.5, abs=1e-4)
@@ -303,21 +375,34 @@ def test_riesz_fourier_weight_scaling():
 
 
 def test_slice_identity_gaussian():
-    res512 = slice_identity_residual(gaussian_grid(512), seed=0)
-    res256 = slice_identity_residual(gaussian_grid(256), seed=0)
+    g512, g256 = gaussian_grid(512), gaussian_grid(256)
+    res512 = slice_identity_residual(g512, xray(g512), seed=0)
+    res256 = slice_identity_residual(g256, xray(g256), seed=0)
     assert res512 <= 1e-3
     assert res512 <= res256
 
 
 def test_slice_identity_zero():
     g = PlanarGrid(np.zeros((64, 64)))
-    assert slice_identity_residual(g, seed=0) == 0.0
+    assert slice_identity_residual(g, xray(g), seed=0) == 0.0
 
 
 def test_slice_identity_ball_indicator():
     n = 512
     g = PlanarGrid.from_function(n, lambda X, Y: (X ** 2 + Y ** 2 <= 1.0).astype(float))
-    assert slice_identity_residual(g, 256, seed=0) <= 1e-2
+    assert slice_identity_residual(g, xray(g), 256, seed=0) <= 1e-2
+
+
+def test_slice_identity_rejects_bad_inputs():
+    g = PlanarGrid(np.zeros((32, 32)))
+    Rg = xray(g)
+    for bad in (CylinderGrid(np.zeros((32, 16))), xray(PlanarGrid(np.zeros((16, 16))))):
+        with pytest.raises(ValueError, match="transform shape"):
+            slice_identity_residual(g, bad)
+    for size in (0, -3):
+        with pytest.raises(ValueError, match="sample size"):
+            slice_identity_residual(g, Rg, sample_size=size)
+    assert slice_identity_residual(g, Rg, sample_size=1) == 0.0
 
 
 def test_cutoff_shape():
