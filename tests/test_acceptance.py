@@ -17,6 +17,8 @@ from inclab.content import dyadic_content, multiscale_cover, smallest_katz_tao_c
 from inclab.geometry import PLANE
 from inclab.measures import PointSet
 
+from golden import check_tree
+
 SEED = 2026
 
 
@@ -164,3 +166,4 @@ def test_criterion_12_determinism(tmp_path):
     _report(12, "determinism", identical,
             f"{len(names1)} artifacts byte-identical across reruns",
             time.time() - t0, 1200)
+    check_tree("verify_quick_seed_2026", out1)

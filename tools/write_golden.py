@@ -1,0 +1,36 @@
+"""Rewrite tests/golden.json from fresh quick verify runs.
+
+    PYTHONPATH=src python3 tools/write_golden.py
+
+Runs each tree of `tests/golden.py`'s TREES into a temporary directory and
+records the sha256 of every file, with the Python, numpy and scipy
+versions.  Rewrite the file only when a change moves a reported number on
+purpose, and list each moved entry in CHANGES.md.
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import golden  # noqa: E402
+from inclab import cli  # noqa: E402
+
+
+def main():
+    trees = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in golden.TREES.items():
+            out = Path(tmp) / name
+            if cli.main([*argv, "--out", str(out)]) != 0:
+                raise SystemExit(f"{name}: verify did not pass")
+            trees[name] = golden.tree_digests(out)
+    golden.GOLDEN.write_text(json.dumps(
+        {"environment": golden.environment(), "trees": trees},
+        indent=2, sort_keys=True) + "\n")
+    print(f"wrote {golden.GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()
