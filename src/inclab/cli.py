@@ -193,30 +193,18 @@ def cmd_verify(args):
     return None, overall
 
 
+# each command's function and the flags it reads besides --config, --out,
+# --seed and --format
 COMMANDS = {
-    "energy": cmd_energy,
-    "incidence-sweep": cmd_incidence_sweep,
-    "xray-check": cmd_xray_check,
-    "smoothing": cmd_smoothing,
-    "content": cmd_content,
-    "furstenberg": cmd_furstenberg,
-    "slicing": cmd_slicing,
-    "radial": cmd_radial,
-    "verify": cmd_verify,
-}
-
-
-# the flags each command reads besides --config, --out, --seed and --format
-FLAGS_READ = {
-    "energy": ("s", "deltas"),
-    "incidence-sweep": ("t", "deltas"),
-    "xray-check": ("n",),
-    "smoothing": ("n",),
-    "content": (),
-    "furstenberg": ("s", "t", "deltas"),
-    "slicing": ("s", "t", "tau", "deltas"),
-    "radial": ("s", "t", "sigma", "deltas"),
-    "verify": ("scale", "threads"),
+    "energy": (cmd_energy, ("s", "deltas")),
+    "incidence-sweep": (cmd_incidence_sweep, ("t", "deltas")),
+    "xray-check": (cmd_xray_check, ("n",)),
+    "smoothing": (cmd_smoothing, ("n",)),
+    "content": (cmd_content, ()),
+    "furstenberg": (cmd_furstenberg, ("s", "t", "deltas")),
+    "slicing": (cmd_slicing, ("s", "t", "tau", "deltas")),
+    "radial": (cmd_radial, ("s", "t", "sigma", "deltas")),
+    "verify": (cmd_verify, ("scale", "threads")),
 }
 
 
@@ -245,9 +233,9 @@ def build_parser():
         prog="inclab", allow_abbrev=False,
         description="discretized incidence-geometry experiments")
     commands = p.add_subparsers(dest="command", required=True)
-    for command in sorted(FLAGS_READ):
+    for command, (_, read) in sorted(COMMANDS.items()):
         cp = commands.add_parser(command, parents=[common], allow_abbrev=False)
-        for flag in FLAGS_READ[command]:
+        for flag in read:
             cp.add_argument(f"--{flag}", **flags[flag])
     return p
 
@@ -265,7 +253,7 @@ def parse_args(argv=None):
             raise ValueError(f"cannot read config: {e}")
         if not isinstance(blob, dict):
             raise ValueError("config must be a flat JSON object")
-        read = ("out", "seed", "format") + FLAGS_READ[args.command]
+        read = ("out", "seed", "format") + COMMANDS[args.command][1]
         for key in blob:
             if key not in read:
                 raise ValueError(
@@ -285,7 +273,7 @@ def parse_args(argv=None):
 def main(argv=None):
     try:
         args = parse_args(argv)
-        rows, summary = COMMANDS[args.command](args)
+        rows, summary = COMMANDS[args.command][0](args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     except ValueError as e:

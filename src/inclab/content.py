@@ -92,10 +92,8 @@ def smallest_katz_tao_constant(P, s):
     """max over dyadic squares Q of |P cap Q| / (side(Q)/resolution)^s."""
     if not (0.0 < s <= 2.0):
         raise ValueError("exponent s must lie in (0, 2]")
-    if len(P) == 0:
-        return 0.0
-    return max(counts.max() / 2.0 ** ((P.level - level) * s)
-               for level, _, counts, _, _ in _dyadic_levels(P))
+    return max((counts.max() / 2.0 ** ((P.level - level) * s)
+                for level, _, counts, _, _ in _dyadic_levels(P)), default=0.0)
 
 
 def smallest_delta_s_constant(P, s):
@@ -106,8 +104,6 @@ def smallest_delta_s_constant(P, s):
     """
     if not (0.0 < s <= 2.0):
         raise ValueError("exponent s must lie in (0, 2]")
-    if len(P) == 0:
-        return 0.0
     sizes = P.sizes()
     best = np.zeros(sizes.size)
     for level, _, counts, starts, _ in _dyadic_levels(P):

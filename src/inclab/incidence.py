@@ -140,6 +140,8 @@ def lemma4_upper_bound(mu, nu, delta):
     """
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError("delta must be finite and positive")
+    if len(nu) == 0:
+        return 0.0
     thetas, rs = nu.centers().T
     if thetas.min() < delta or thetas.max() > 1.0 - delta:
         raise ValueError("theta margin violated: tube angles within delta of the seam")

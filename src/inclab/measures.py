@@ -182,13 +182,16 @@ class CellFamilies(_CellSet):
 def _dyadic_levels(cells, weights=None):
     """Per dyadic level, from the cells' own level up to the root.
 
-    Yields (level, codes, values, starts, up): the sorted codes of the
-    occupied squares; per square, its cell count or, with `weights` (one
-    per cell), their total weight; each family's first square; and each
-    square's parent position in the next level (None at level 0).  A store
-    codes its squares as the cells (family * nx + ix, iy), so families stay
-    apart in order and, as nx halves per level up, one shift finds a parent.
+    Yields (level, codes, values, starts, up), nothing for an empty set: the
+    sorted codes of the occupied squares; per square, its cell count or,
+    with `weights` (one per cell), their total weight; each family's first
+    square; and each square's parent position in the next level (None at
+    level 0).  A store codes its squares as the cells (family * nx + ix,
+    iy), so families stay apart in order and, as nx halves per level up, one
+    shift finds a parent.
     """
+    if len(cells) == 0:
+        return
     root = cells.root
     nx, _ = grid_shape(root, cells.level)
     codes = _cell_codes(root, cells.level,
@@ -318,10 +321,8 @@ def covering_number(P, rho):
     level = level_for_resolution(P.root, rho)
     if level > P.level:
         raise ValueError("rho must be a dyadic multiple of the resolution")
-    if len(P) == 0:
-        return 0
-    return next(codes.size for lv, codes, _, _, _ in _dyadic_levels(P)
-                if lv == level)
+    return next((codes.size for lv, codes, _, _, _ in _dyadic_levels(P)
+                 if lv == level), 0)
 
 
 def radial_projection_covering(q, P):

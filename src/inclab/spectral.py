@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .geometry import PLANE, level_for_resolution
+from .geometry import PLANE, grid_shape
 from .measures import _check_energy_grid
 
 
@@ -268,32 +268,16 @@ def mixed_fourier(f):
     return spec, modes, rhos
 
 
-def _zero_bin_average_1d(s, width):
-    # mean of |rho|^(2s) over the centered bin of the given width
-    if 2 * s + 1 <= 0:
-        raise ValueError("bin average diverges for s <= -1/2")
-    a = 0.5 * width
-    return a ** (2 * s) / (2 * s + 1)
-
-
-def _zero_bin_average_2d(e, width):
-    # mean of |xi|^(2e) over the centered square bin; finite for e > -1
-    if e == 0:
-        return 1.0
-    a = 0.5 * width
-    val, _ = integrate.quad(lambda t: math.cos(t) ** (-(2 * e + 2)), 0.0,
-                            math.pi / 4.0)
-    return (8.0 * a ** (2 * e + 2) / (2 * e + 2)) * val / width ** 2
-
-
-def _cusp_weight(rows, cols, e, zero_avg):
+def _cusp_weight(rows, cols, e):
     """|xi|^(2e) on the fft-layout frequency grid rows x cols, with each bin
     within 3 steps of the origin carrying the weight averaged over 16
-    sub-samples per continuous axis, and the origin bin `zero_avg`.
+    sub-samples per continuous axis, and the origin bin its mean weight.
 
-    An integer axis (angular modes) is discrete: only its zero index meets
-    the cusp.  The averaging removes the dominant quadrature error once the
-    spectrum varies slowly per bin.
+    An integer row axis (angular modes) is discrete: only its zero index
+    meets the cusp, and the origin bin's mean is over its r-interval, finite
+    for e > -1/2 and weighed 0 (excluded) below; over a square bin it is
+    finite for e > -1.  The averaging removes the dominant quadrature error
+    once the spectrum varies slowly per bin.
     """
     q = rows[:, None] ** 2 + cols[None, :] ** 2
     if e == 0:
@@ -302,7 +286,7 @@ def _cusp_weight(rows, cols, e, zero_avg):
         w = q ** e
     sub = (np.arange(16) + 0.5) / 16.0 - 0.5
     # per axis: indices near the origin, sub-sample offsets and bin step
-    (near_i, a, da), (near_j, b, db) = [
+    (near_i, a, da), (near_j, b, step) = [
         ([0], np.zeros(1), 1.0) if axis.dtype.kind == "i"
         else (range(-3, 4), sub, abs(axis[1] - axis[0]))
         for axis in (rows, cols)]
@@ -311,9 +295,36 @@ def _cusp_weight(rows, cols, e, zero_avg):
         for j in near_j:
             if (i, j) != (0, 0):
                 w[i, j] = np.mean((((i + A) * da) ** 2
-                                   + ((j + B) * db) ** 2) ** e)
-    w[0, 0] = zero_avg
+                                   + ((j + B) * step) ** 2) ** e)
+    half = 0.5 * step
+    if rows.dtype.kind == "i":
+        w[0, 0] = half ** (2 * e) / (2 * e + 1) if e > -0.5 else 0.0
+    else:
+        val, _ = integrate.quad(lambda t: math.cos(t) ** (-(2 * e + 2)), 0.0,
+                                math.pi / 4.0)
+        w[0, 0] = (8.0 * half ** (2 * e + 2) / (2 * e + 2)) * val / step ** 2
     return w
+
+
+def _sobolev_norm(fourier, f, s, interval):
+    """Square roots of the `_cusp_weight`-weighted sums of the spectrum
+    `fourier(f)` times the bin area, for exponents s in `interval` ("[-1, 1]"
+    or "(-1, 1]"): a float for a scalar s, else a list from one spectrum."""
+    exps = [float(x) for x in np.atleast_1d(s)]
+    closed = interval.startswith("[")
+    if not all(-1.0 <= x <= 1.0 and (closed or x > -1.0) for x in exps):
+        raise ValueError(f"exponent s must lie in {interval}")
+    spec, *axes = fourier(f)
+    rows, cols = axes[0], axes[-1]  # the plane's one axis serves both
+    step = cols[1] - cols[0]
+    power = np.abs(spec) ** 2
+    del spec
+    norms = []
+    for e in exps:
+        total = np.sum(power * _cusp_weight(rows, cols, e)) * step
+        norms.append(math.sqrt(float(
+            total if rows.dtype.kind == "i" else total * step)))
+    return norms[0] if np.ndim(s) == 0 else norms
 
 
 def sobolev_norm_cylinder(f, s):
@@ -325,22 +336,11 @@ def sobolev_norm_cylinder(f, s):
     A sequence of exponents gives a list of norms, one per entry, from one
     spectrum.
     """
-    exps = [float(x) for x in np.atleast_1d(s)]
-    if not all(-1.0 <= x <= 1.0 for x in exps):
-        raise ValueError("exponent s must lie in [-1, 1]")
-    if any(x <= -0.5 for x in exps):
+    norms = _sobolev_norm(mixed_fourier, f, s, "[-1, 1]")
+    if np.any(np.asarray(s) <= -0.5):
         warnings.warn("zero-frequency bin excluded for s <= -1/2",
                       stacklevel=2)
-    spec, modes, rhos = mixed_fourier(f)
-    drho = rhos[1] - rhos[0]
-    power = np.abs(spec) ** 2
-    del spec
-    norms = []
-    for e in exps:
-        zero_avg = _zero_bin_average_1d(e, drho) if e > -0.5 else 0.0
-        w = _cusp_weight(modes, rhos, e, zero_avg)
-        norms.append(math.sqrt(float(np.sum(power * w) * drho)))
-    return norms[0] if np.ndim(s) == 0 else norms
+    return norms
 
 
 def plane_fourier(g):
@@ -361,18 +361,7 @@ def sobolev_norm_plane(g, s):
     (finite for s > -1).  A sequence of exponents gives a list of norms,
     one per entry, from one spectrum.
     """
-    exps = [float(x) for x in np.atleast_1d(s)]
-    if not all(-1.0 < x <= 1.0 for x in exps):
-        raise ValueError("exponent s must lie in (-1, 1]")
-    spec, xi = plane_fourier(g)
-    step = xi[1] - xi[0]
-    power = np.abs(spec) ** 2
-    del spec
-    norms = []
-    for e in exps:
-        w = _cusp_weight(xi, xi, e, _zero_bin_average_2d(e, step))
-        norms.append(math.sqrt(float(np.sum(power * w) * step * step)))
-    return norms[0] if np.ndim(s) == 0 else norms
+    return _sobolev_norm(plane_fourier, g, s, "(-1, 1]")
 
 
 def riesz_gamma(s):
@@ -394,8 +383,7 @@ def riesz_energy_fourier(m, s):
     if m.root != PLANE:
         raise ValueError("fourier energy needs a planar measure")
     delta = m.resolution
-    n = round(4.0 / delta)
-    level_for_resolution(PLANE, delta)  # validates dyadic resolution
+    n, _ = grid_shape(PLANE, m.level)
     _check_energy_grid(n, n)
     grid = np.zeros((n, n))
     grid[m.ix, m.iy] = m.weights
@@ -403,8 +391,7 @@ def riesz_energy_fourier(m, s):
     spec = np.fft.fft2(grid)  # phases drop out of |.|^2
     xi = np.fft.fftfreq(n, d=delta)
     dxi = xi[1] - xi[0]  # 1/4
-    e = (s - 2) / 2
-    w = _cusp_weight(xi, xi, e, _zero_bin_average_2d(e, dxi))
+    w = _cusp_weight(xi, xi, (s - 2) / 2)
     q = xi[:, None] ** 2 + xi[None, :] ** 2
     w[q > (1.0 / (2.0 * delta)) ** 2] = 0.0  # truncate at |xi| <= 1/(2 delta)
     total = np.sum(np.abs(spec) ** 2 * w) * dxi * dxi

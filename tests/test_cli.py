@@ -9,6 +9,8 @@ from pathlib import Path
 
 from inclab import cli
 
+from golden import check_tree
+
 
 def test_unknown_command_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
@@ -224,7 +226,8 @@ def test_empty_measure_exit_2(tmp_path, monkeypatch):
     def corrupted(seed=0, **kw):
         raise ValueError("empty measure")
 
-    monkeypatch.setitem(cli.COMMANDS, "energy", lambda args: corrupted())
+    monkeypatch.setitem(cli.COMMANDS, "energy",
+                        (lambda args: corrupted(), cli.COMMANDS["energy"][1]))
     assert cli.main(["energy", "--out", str(tmp_path)]) == 2
 
 
@@ -242,8 +245,8 @@ def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
 
 
 def test_command_help_lists_its_flags(capsys):
-    every_flag = {f for flags in cli.FLAGS_READ.values() for f in flags}
-    for command, read in cli.FLAGS_READ.items():
+    every_flag = {f for _, flags in cli.COMMANDS.values() for f in flags}
+    for command, (_, read) in cli.COMMANDS.items():
         assert cli.main([command, "--help"]) == 0
         shown = set(re.findall(r"--([a-z]+)\b", capsys.readouterr().out))
         assert shown == {"help", "config", "out", "seed", "format", *read}
@@ -295,6 +298,7 @@ def test_verify_quick_deterministic(tmp_path):
     assert files1 == files2
     for name in files1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    check_tree("verify_quick_seed_3", out1)
     table = (out1 / "verify.csv").read_text().strip().split("\n")
     assert len(table) - 1 >= 8  # at least eight criterion rows
     # every CSV parses with the header's width; the witness cells, which

@@ -351,6 +351,14 @@ def test_multiscale_single_cell_and_square():
     assert cover_sizes(cov) == {1.0: 1}
 
 
+def test_empty_set_walks_no_level():
+    empty = PointSet(PLANE, 2.0 ** -5, [], [])
+    cov = multiscale_cover(empty, 1.0)
+    assert (cov.value, cov.cover) == (0.0, {})
+    assert smallest_katz_tao_constant(empty, 1.0) == 0.0
+    assert smallest_delta_s_constant(empty, 1.0) == 0.0
+
+
 def test_multiscale_two_part():
     delta = 2.0 ** -6
     ix0 = round(2.0 / delta)

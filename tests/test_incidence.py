@@ -140,6 +140,12 @@ def test_lemma4_dominates_on_random_fixtures(seed):
     assert bound * 1.01 >= inc
 
 
+def test_lemma4_empty_tubes_zero():
+    mu = origin_atom(2.0 ** -7)
+    nu = LineParamMeasure(2.0 ** -7, [], [], [])
+    assert lemma4_upper_bound(mu, nu, 0.01) == incidences(mu, nu, 0.01) == 0.0
+
+
 def test_lemma4_theta_margin():
     mu = origin_atom(2.0 ** -7)
     nu = line_atom(2.0 ** -7, 0.001, 0.0)

@@ -89,11 +89,20 @@ def test_xray_angles_shifted_by_one_row(monkeypatch):
 def test_sequence_norm_reuses_the_first_cusp_weight(monkeypatch):
     # criterion 3 does not see this one: the quick and desk smoothing bands
     # stay far inside SMOOTHING_BAND, so the sharing test must
-    weight = "_cusp_weight(xi, xi, e, _zero_bin_average_2d(e, step))"
-    mutate(monkeypatch, spectral, "sobolev_norm_plane",
-           f"w = {weight}", f"w = w if norms else {weight}")
+    mutate(monkeypatch, spectral, "_sobolev_norm",
+           "_cusp_weight(rows, cols, e)", "_cusp_weight(rows, cols, exps[0])")
     with pytest.raises(AssertionError):
         test_spectral.test_smoothing_ratio_shares_one_transform_across_s()
+
+
+def test_square_origin_bin_takes_the_interval_rule(monkeypatch):
+    # criteria 3 and 6 do not see this one, quick or desk (the desk energy
+    # ratios move from [1.01, 1.68] to [0.50, 1.75], inside [0.25, 4]), so
+    # the plane norm's closed form on a Gaussian must
+    mutate(monkeypatch, spectral, "_cusp_weight",
+           'if rows.dtype.kind == "i":', "if True:")
+    with pytest.raises(AssertionError):
+        test_spectral.test_sobolev_plane_gaussian()
 
 
 def test_cover_square_doubled_in_dyadic_content(monkeypatch):

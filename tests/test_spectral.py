@@ -297,6 +297,7 @@ def test_sobolev_sequences_match_scalar_calls():
                           np.array([sobolev_norm_cylinder(f, s) for s in cyl_s]))
     assert isinstance(sobolev_norm_plane(g, 0.5), float)
     assert sobolev_norm_plane(g, [0.5]) == [sobolev_norm_plane(g, 0.5)]
+    assert sobolev_norm_plane(g, []) == sobolev_norm_cylinder(f, []) == []
 
 
 def test_sobolev_cylinder_sequence_warns_once():
