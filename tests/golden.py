@@ -1,9 +1,11 @@
-"""Committed sha256 digests of the quick verify trees, and the check of a tree.
+"""Committed sha256 digests of the quick verify trees and of the desk
+acceptance results, and their checks.
 
 `golden.json` holds, for each named tree, the digest of every file a
-`verify` run writes, and the Python, numpy and scipy versions the digests
-were written with: floating-point results may move with any of them.
-`tools/write_golden.py` rewrites the file.
+`verify` run writes; for each desk acceptance experiment, the digest of
+its `(rows, summary)` at seed DESK_SEED; and the Python, numpy and scipy
+versions the digests were written with: floating-point results may move
+with any of them.  `tools/write_golden.py` rewrites the file.
 """
 
 import hashlib
@@ -21,6 +23,12 @@ TREES = {
     "verify_quick_seed_2026": ["verify", "--scale", "quick", "--seed", "2026"],
     "verify_quick_seed_3": ["verify", "--scale", "quick", "--seed", "3"],
 }
+
+# the desk acceptance experiments (each run with its default arguments)
+DESK_SEED = 2026
+DESK = ("exp_xray_check", "exp_smoothing", "exp_energy", "exp_lemma4",
+        "exp_incidence_sweep", "exp_content", "exp_furstenberg",
+        "exp_slicing", "exp_radial")
 
 
 def environment():
@@ -42,4 +50,20 @@ def check_tree(name, out):
                    if want.get(k) != got.get(k))
     assert not moved, (
         f"{name}: {', '.join(moved)} differ from {GOLDEN.name}, written "
+        f"with {golden['environment']}; this run has {environment()}")
+
+
+def result_digest(rows, summary):
+    """sha256 of an experiment's (rows, summary), serialised as the CLI's
+    JSON writer serialises a summary."""
+    text = json.dumps([rows, summary], indent=2, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def check_desk(name, rows, summary):
+    """Assert that a desk experiment's (rows, summary) at DESK_SEED hash as
+    committed."""
+    golden = json.loads(GOLDEN.read_text())
+    assert result_digest(rows, summary) == golden["desk"][name], (
+        f"{name} at seed {DESK_SEED} differs from {GOLDEN.name}, written "
         f"with {golden['environment']}; this run has {environment()}")

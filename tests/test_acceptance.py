@@ -17,15 +17,18 @@ from inclab.content import dyadic_content, multiscale_cover, smallest_katz_tao_c
 from inclab.geometry import PLANE
 from inclab.measures import PointSet
 
-from golden import check_tree
+from golden import DESK_SEED, check_desk, check_tree
 
-SEED = 2026
+SEED = DESK_SEED
 
 
-def _timed(func, **kw):
+def _timed(func):
+    """Run a desk experiment, time it, then check its results' digest."""
     t0 = time.time()
-    rows, summary = func(seed=SEED, **kw)
-    return rows, summary, time.time() - t0
+    rows, summary = func(seed=SEED)
+    elapsed = time.time() - t0
+    check_desk(func.__name__, rows, summary)
+    return rows, summary, elapsed
 
 
 @functools.lru_cache(maxsize=None)

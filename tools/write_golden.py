@@ -1,10 +1,13 @@
-"""Rewrite tests/golden.json from fresh quick verify runs.
+"""Rewrite tests/golden.json from fresh quick verify runs and desk
+acceptance experiments.
 
     PYTHONPATH=src python3 tools/write_golden.py
 
 Runs each tree of `tests/golden.py`'s TREES into a temporary directory and
-records the sha256 of every file, with the Python, numpy and scipy
-versions.  Rewrite the file only when a change moves a reported number on
+records the sha256 of every file, then runs each experiment of its DESK at
+DESK_SEED and records the sha256 of its (rows, summary), with the Python,
+numpy and scipy versions.  The desk experiments take one to two minutes
+on two cores.  Rewrite the file only when a change moves a reported number on
 purpose, and list each moved entry in CHANGES.md.
 """
 
@@ -15,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import golden  # noqa: E402
-from inclab import cli  # noqa: E402
+from inclab import cli, experiments  # noqa: E402
 
 
 def main():
@@ -26,8 +29,11 @@ def main():
             if cli.main([*argv, "--out", str(out)]) != 0:
                 raise SystemExit(f"{name}: verify did not pass")
             trees[name] = golden.tree_digests(out)
+    desk = {name: golden.result_digest(
+                *getattr(experiments, name)(seed=golden.DESK_SEED))
+            for name in golden.DESK}
     golden.GOLDEN.write_text(json.dumps(
-        {"environment": golden.environment(), "trees": trees},
+        {"environment": golden.environment(), "trees": trees, "desk": desk},
         indent=2, sort_keys=True) + "\n")
     print(f"wrote {golden.GOLDEN}")
 
