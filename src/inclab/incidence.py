@@ -31,6 +31,9 @@ SWEEP_GROWTH_MAX = 4.0  # largest ratio, as a multiple of the coarsest one
 
 MAJORANT_SAMPLES = 257  # angles sampled across each 6 delta window
 MAJORANT_BISECTIONS = 45  # bisection steps per sampled crossing
+# lemma4_upper_bound measures its lines in blocks of about this many
+# sampled (line, point, angle) entries, which bounds its temporaries
+MAJORANT_BLOCK = 2 ** 16
 
 
 def incidences(mu, nu, delta):
@@ -84,48 +87,54 @@ def incidences(mu, nu, delta):
     return math.fsum(float(v[k]) * float(sums[k]) for k in range(len(v)))
 
 
-def _interval_measure(theta0, r0, pts, delta):
-    """Lebesgue measure of {theta : |(theta, proj_theta(p)) - (theta0, r0)| <= 3 delta}
-    for each point p, resolved by dense sampling plus vectorized bisection.
+def _interval_measure(thetas, rs, pts, delta):
+    """Lebesgue measure of {theta : |(theta, proj_theta(p)) - (thetas[k], rs[k])| <= 3 delta}
+    for each line k and each point p, as a (lines, points) array, resolved
+    by dense sampling plus vectorized bisection.
 
-    Roots are located to ~3 delta * 2^-45; inside-intervals narrower than
-    the sampling step (6 delta / 256) arise only at tangencies of the
+    One pass serves every line: the sampled windows are one (lines, points,
+    angles) test, and one bisection loop runs on every crossing of every
+    line.  Each step is elementwise and each (line, point) adds its
+    segments in angle order, so every row equals a one-line call bit for
+    bit.  Roots are located to ~3 delta * 2^-45; inside-intervals narrower
+    than the sampling step (6 delta / 256) arise only at tangencies of the
     3 delta ball and can be missed, which only lowers the returned measure.
     """
-    n = pts.shape[0]
-    ts = theta0 + 3.0 * delta * np.linspace(-1.0, 1.0, MAJORANT_SAMPLES)
-    inside = _inside(ts, pts[:, None, :], theta0, r0, delta)
+    lines, n = len(thetas), pts.shape[0]
+    ts = thetas[:, None] + 3.0 * delta * np.linspace(-1.0, 1.0, MAJORANT_SAMPLES)
+    inside = _inside(ts[:, None, :], pts[:, None, :], thetas[:, None, None],
+                     rs[:, None, None], delta)
 
-    # crossings in point order, and per point in angle order
-    pi_idx, ki = np.nonzero(inside[:, 1:] != inside[:, :-1])
-    if pi_idx.size:
-        lo = ts[ki].copy()
-        hi = ts[ki + 1].copy()
-        crossing_pts = pts[pi_idx]
-        lo_in = _inside(lo, crossing_pts, theta0, r0, delta)
-        for _ in range(MAJORANT_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            same = _inside(mid, crossing_pts, theta0, r0, delta) == lo_in
-            lo = np.where(same, mid, lo)
-            hi = np.where(same, hi, mid)
-        roots = 0.5 * (lo + hi)
-    else:
-        roots = np.empty(0)
+    # crossings in (line, point, angle) order
+    li, pi, ki = np.nonzero(inside[..., 1:] != inside[..., :-1])
+    lo, hi = ts[li, ki], ts[li, ki + 1]
+    crossing = (pts[pi], thetas[li], rs[li], delta)
+    lo_in = _inside(lo, *crossing)
+    for _ in range(MAJORANT_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        same = _inside(mid, *crossing) == lo_in
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    roots = 0.5 * (lo + hi)
 
-    # each point's segments run between the sample ends and its roots; add
-    # the lengths of those whose midpoint is inside, in angle order
-    counts = np.bincount(pi_idx, minlength=n)
+    # each (line, point)'s segments run between its line's sample ends and
+    # its roots; add the lengths of those whose midpoint is inside, in
+    # angle order
+    counts = np.bincount(li * n + pi, minlength=lines * n)
     first = np.cumsum(counts) - counts
-    left = np.insert(roots, first, ts[0])
-    right = np.insert(roots, first + counts, ts[-1])
-    owner = np.repeat(np.arange(n), counts + 1)
-    keep = _inside(0.5 * (left + right), pts[owner], theta0, r0, delta)
-    return np.bincount(owner[keep], weights=(right - left)[keep], minlength=n)
+    left = np.insert(roots, first, np.repeat(ts[:, 0], n))
+    right = np.insert(roots, first + counts, np.repeat(ts[:, -1], n))
+    owner = np.repeat(np.arange(lines * n), counts + 1)
+    line, point = np.divmod(owner, n)
+    keep = _inside(0.5 * (left + right), pts[point], thetas[line], rs[line],
+                   delta)
+    return np.bincount(owner[keep], weights=(right - left)[keep],
+                       minlength=lines * n).reshape(lines, n)
 
 
 def _inside(ts, pts, theta0, r0, delta):
     """Whether (t, proj_t(p)) lies in the 3 delta ball around (theta0, r0);
-    ts broadcasts against the points pts of shape (..., 2)."""
+    ts, theta0 and r0 broadcast against the points pts of shape (..., 2)."""
     return (ts - theta0) ** 2 + (project(pts, ts) - r0) ** 2 <= 9.0 * delta ** 2
 
 
@@ -135,8 +144,12 @@ def lemma4_upper_bound(mu, nu, delta):
     For each atom pair, measures the set of angles theta at which the point
     (theta, proj_theta(p)) falls in the 3*delta ball around the line
     parameter q, and aggregates delta^-1 * sum w_p v_q * measure.  This
-    dominates the incidence count.  delta must be finite and positive, and
-    tube angles must keep a delta margin from the seam.
+    dominates the incidence count.  Lines go to `_interval_measure` in
+    blocks of about MAJORANT_BLOCK samples (a whole fixture of the
+    acceptance experiment is one block); each line's np.dot and the running
+    total keep line order, so the sum is that of a loop over single lines.
+    delta must be finite and positive, and tube angles must keep a delta
+    margin from the seam.
     """
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError("delta must be finite and positive")
@@ -147,10 +160,13 @@ def lemma4_upper_bound(mu, nu, delta):
         raise ValueError("theta margin violated: tube angles within delta of the seam")
     pts = mu.centers()
     w = mu.weights
+    per_block = max(1, MAJORANT_BLOCK // (MAJORANT_SAMPLES * max(len(pts), 1)))
     total = 0.0
-    for k in range(len(thetas)):
-        meas = _interval_measure(float(thetas[k]), float(rs[k]), pts, delta)
-        total += float(nu.weights[k]) * float(np.dot(w, meas))
+    for a in range(0, len(thetas), per_block):
+        block = slice(a, a + per_block)
+        meas = _interval_measure(thetas[block], rs[block], pts, delta)
+        for v, m in zip(nu.weights[block], meas):
+            total += float(v) * float(np.dot(w, m))
     return total / delta
 
 

@@ -43,22 +43,32 @@ MAX_TUBE_CELLS = 2 ** 21
 MAX_SLICING_TABLE = 2 ** 21
 
 
-def _direction_cantor(counts, rng):
-    """Dyadic s-dimensional subset of [1/4, 3/4): interval center angles.
+def _direction_cantor(counts, rngs):
+    """Dyadic s-dimensional subsets of [1/4, 3/4), one per generator of
+    `rngs`: row j holds the interval center angles of set j.
 
     Binary subdivision keeping the per-level child counts `counts` (from
     `_child_count_sequence(s, steps, 2)`, products in [2/3, 2) * 2^(j*s)); the
-    surviving level-`steps` intervals have width 2^-(steps+1).
+    surviving level-`steps` intervals have width 2^-(steps+1).  A level that
+    keeps one child of two picks it with one fair bit per interval.  Each
+    generator draws all of its set's bits in one call, which gives the
+    stream that one call per level would give, and the levels run on all
+    sets at once.
     """
-    lows = np.array([0.25])
+    picks = sum(math.prod(counts[:j]) for j, mj in enumerate(counts)
+                if mj == 1)
+    draws = np.array([rng.integers(0, 2, size=picks) for rng in rngs])
+    lows = np.full((len(rngs), 1), 0.25)
     width = 0.5
+    used = 0
     for mj in counts:
         width *= 0.5
         if mj == 2:
-            lows = np.concatenate([lows, lows + width])
+            lows = np.concatenate([lows, lows + width], axis=1)
         else:
-            pick = rng.integers(0, 2, size=lows.size)
-            lows = lows + pick * width
+            k = lows.shape[1]
+            lows = lows + draws[:, used:used + k] * width
+            used += k
     return lows + 0.5 * width
 
 
@@ -103,12 +113,11 @@ def build_furstenberg(s, t, delta, seed):
     per_block = max(1, FAMILY_BLOCK_CELLS // math.prod(counts))
     blocks = []
     for a in range(0, len(mu), per_block):
-        thetas = [_direction_cantor(counts,
-                                    np.random.default_rng([seed, ix, iy]))
-                  for ix, iy in keys[a:a + per_block]]
-        fams = _tube_families(pts[a:a + per_block], thetas, delta)
-        _check_families(fams, pts[a:a + per_block], keys[a:a + per_block],
-                        s, delta)
+        block = slice(a, a + per_block)
+        thetas = _direction_cantor(counts, [np.random.default_rng([seed, ix, iy])
+                                            for ix, iy in keys[block]])
+        fams = _tube_families(pts[block], thetas, delta)
+        _check_families(fams, pts[block], keys[block], s, delta)
         blocks.append(fams)
     return FurstenbergConfig(mu, CellFamilies.concatenate(blocks),
                              s, t, delta, seed)
@@ -116,9 +125,9 @@ def build_furstenberg(s, t, delta, seed):
 
 def _tube_families(pts, thetas, delta):
     """Store of the line-parameter cells (theta, pts[j] . e_theta), family j
-    over the angles thetas[j]."""
-    family = np.repeat(np.arange(len(thetas)), [a.size for a in thetas])
-    theta = np.concatenate(thetas)
+    over the angles of row j of the (families, angles) array thetas."""
+    family = np.repeat(np.arange(len(thetas)), thetas.shape[1])
+    theta = thetas.ravel()
     r = project(pts[family], theta)
     return CellFamilies(LINESPACE, delta,
                         np.floor(theta / delta).astype(np.int64),

@@ -116,6 +116,94 @@ def test_lemma4_point_at_origin():
     assert bound >= incidences(mu, nu, delta)
 
 
+def interval_measure_one_line(theta0, r0, pts, delta):
+    """The majorant's per-point angle measure for one line, as a loop over
+    lines computed it: samples, a bisection per crossing, and each point's
+    inside segments added in angle order."""
+    def inside(ts, p):
+        return ((ts - theta0) ** 2 + (project(p, ts) - r0) ** 2
+                <= 9.0 * delta ** 2)
+
+    n = pts.shape[0]
+    ts = theta0 + 3.0 * delta * np.linspace(-1.0, 1.0,
+                                            incidence.MAJORANT_SAMPLES)
+    hit = inside(ts, pts[:, None, :])
+    pi_idx, ki = np.nonzero(hit[:, 1:] != hit[:, :-1])
+    lo, hi = ts[ki].copy(), ts[ki + 1].copy()
+    lo_in = inside(lo, pts[pi_idx])
+    for _ in range(incidence.MAJORANT_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        same = inside(mid, pts[pi_idx]) == lo_in
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    roots = 0.5 * (lo + hi)
+    counts = np.bincount(pi_idx, minlength=n)
+    first = np.cumsum(counts) - counts
+    left = np.insert(roots, first, ts[0])
+    right = np.insert(roots, first + counts, ts[-1])
+    owner = np.repeat(np.arange(n), counts + 1)
+    keep = inside(0.5 * (left + right), pts[owner])
+    return np.bincount(owner[keep], weights=(right - left)[keep], minlength=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_interval_measure_rows_equal_one_line_loop(data):
+    # up to 13 points in [-1, 1]^2, at times one at the origin, and up to 13
+    # lines of four kinds: anywhere; far from every point, so no crossing;
+    # through the origin; and near-tangent to a point's projection curve at
+    # its peak, where the inside interval can be narrower than a sample step
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    delta = data.draw(st.sampled_from([2.0 ** -k for k in range(3, 8)]))
+    n = data.draw(st.integers(0, 13))
+    pts = rng.uniform(-1.0, 1.0, (n, 2))
+    if n and data.draw(st.booleans()):
+        pts[0] = 0.0
+    kinds = ["any", "far", "origin"] + (["tangent"] if n else [])
+    thetas, rs = [], []
+    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1,
+                                   max_size=13)):
+        theta, r = rng.uniform(0.25, 0.75), rng.uniform(-1.0, 1.0)
+        if kind == "far":
+            r = 5.0
+        elif kind == "origin":
+            r = 0.0
+        elif kind == "tangent":
+            x, y = pts[rng.integers(n)]
+            theta = math.atan2(y, x) / (2.0 * math.pi) % 1.0
+            gap = 1.0 - 10.0 ** -float(rng.integers(2, 13))
+            r = math.hypot(x, y) + rng.choice([-3.0, 3.0]) * delta * gap
+        thetas.append(theta)
+        rs.append(r)
+    thetas, rs = np.array(thetas), np.array(rs)
+    batched = incidence._interval_measure(thetas, rs, pts, delta)
+    assert batched.shape == (len(thetas), n)
+    for k in range(len(thetas)):
+        one = interval_measure_one_line(float(thetas[k]), float(rs[k]), pts,
+                                        delta)
+        assert batched[k].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("block", [incidence.MAJORANT_BLOCK, 1])
+def test_lemma4_equals_one_line_loop(block, monkeypatch):
+    # 13 points and 13 lines are one block by default; with blocks of one
+    # line each, or one block, the bound is the loop's over single lines
+    rng = np.random.default_rng(5)
+    mu = PlanarAtomMeasure(2.0 ** -7, rng.integers(224, 288, 13),
+                           rng.integers(224, 288, 13), rng.uniform(0.1, 1, 13))
+    nu = LineParamMeasure(2.0 ** -7, rng.integers(32, 96, 13),
+                          rng.integers(224, 288, 13), rng.uniform(0.1, 1, 13))
+    delta = 2.0 ** -4
+    monkeypatch.setattr(incidence, "MAJORANT_BLOCK", block)
+    total = 0.0
+    for v, (theta, r) in zip(nu.weights, nu.centers()):
+        meas = interval_measure_one_line(float(theta), float(r), mu.centers(),
+                                         delta)
+        total += float(v) * float(np.dot(mu.weights, meas))
+    assert total > 0
+    assert lemma4_upper_bound(mu, nu, delta) == total / delta
+
+
 def test_lemma4_far_pair_zero():
     delta = 0.01
     mu = origin_atom(2.0 ** -7)

@@ -105,6 +105,32 @@ def test_square_origin_bin_takes_the_interval_rule(monkeypatch):
         test_spectral.test_sobolev_plane_gaussian()
 
 
+def test_cylinder_origin_bin_takes_the_square_rule(monkeypatch):
+    # criteria 3 and 6 do not see this one either, so the cylinder norm's
+    # closed form on a radial Gaussian must
+    mutate(monkeypatch, spectral, "_cusp_weight",
+           'if rows.dtype.kind == "i":', "if False:")
+    with pytest.raises(AssertionError):
+        test_spectral.test_sobolev_cylinder_radial_gaussian(-0.25)
+
+
+def test_every_line_measured_against_the_first_in_the_majorant(monkeypatch):
+    mutate(monkeypatch, incidence, "lemma4_upper_bound",
+           "_interval_measure(thetas[block], rs[block], pts, delta)",
+           "_interval_measure(np.full(len(thetas[block]), thetas[0]), "
+           "np.full(len(rs[block]), rs[0]), pts, delta)")
+    assert quick_experiment_fails("tube-average-bound")
+
+
+def test_two_delta_ball_in_the_majorant(monkeypatch):
+    # quick criterion 4 does not see this one (its worst margin falls from
+    # 2.98 to 1.51, with no violation), so the origin atom's closed form must
+    mutate(monkeypatch, incidence, "_inside",
+           "9.0 * delta ** 2", "4.0 * delta ** 2")
+    with pytest.raises(AssertionError):
+        test_incidence.test_lemma4_point_at_origin()
+
+
 def test_cover_square_doubled_in_dyadic_content(monkeypatch):
     exact = content.dyadic_content
 

@@ -7,7 +7,8 @@ import pytest
 from inclab import scenarios
 from inclab.content import dyadic_content, extract_katz_tao_subset
 from inclab.geometry import LINESPACE, PLANE, grid_shape, projection_range
-from inclab.measures import CellFamilies, PointSet, generate_cantor_measure
+from inclab.measures import (CellFamilies, PointSet, _child_count_sequence,
+                             generate_cantor_measure)
 from inclab.scenarios import (F_WINDOW, _check_families, build_furstenberg,
                               build_slicing, furstenberg_content,
                               radial_check, slicing_tube_content,
@@ -213,6 +214,35 @@ def test_tube_cell_members_match_fresh_projection_ranges():
         members = tube_cell_members(cfg, (c, kcell))
         assert np.array_equal(members.ix, cfg.mu.ix[hit])
         assert np.array_equal(members.iy, cfg.mu.iy[hit])
+
+
+def direction_cantor_one_cell(counts, rng):
+    """One cell's direction set, as a loop over cells built it: one draw
+    per level that keeps one child of two."""
+    lows = np.array([0.25])
+    width = 0.5
+    for mj in counts:
+        width *= 0.5
+        if mj == 2:
+            lows = np.concatenate([lows, lows + width])
+        else:
+            lows = lows + rng.integers(0, 2, size=lows.size) * width
+    return lows + 0.5 * width
+
+
+@pytest.mark.parametrize("counts", [
+    [1] * 6, [2] * 6, [2, 1, 2, 2, 1, 1, 2],
+    *(_child_count_sequence(s, 7, 2) for s in (0.3, 0.5, 0.8, 1.0))])
+@pytest.mark.parametrize("seed", [0, 3, 2026])
+def test_direction_cantor_rows_equal_one_cell_loop(counts, seed):
+    keys = [(ix, iy) for ix in range(5) for iy in (0, 7, 100)]
+    rows = scenarios._direction_cantor(
+        counts, [np.random.default_rng([seed, ix, iy]) for ix, iy in keys])
+    assert rows.shape == (len(keys), math.prod(counts))
+    for row, (ix, iy) in zip(rows, keys):
+        one = direction_cantor_one_cell(
+            counts, np.random.default_rng([seed, ix, iy]))
+        assert row.tobytes() == one.tobytes()
 
 
 def test_furstenberg_check_names_first_bad_family():

@@ -348,6 +348,19 @@ def test_sobolev_plane_gaussian():
     assert sobolev_norm_plane(g, -0.5) ** 2 == pytest.approx(oracle_neg, rel=0.01)
 
 
+@pytest.mark.parametrize("s", [-0.25, -0.4])
+def test_sobolev_cylinder_radial_gaussian(s):
+    # exp(-pi r^2) on every angle has only the n = 0 modes, exp(-pi rho^2),
+    # so the squared norm is the integral of exp(-2 pi rho^2) |rho|^(2s):
+    # gamma(s + 1/2) / (2 pi)^(s + 1/2).  At negative s the origin bin
+    # carries a visible share of it (2.29 at s = -0.25 against 2.02 with the
+    # square bin's mean there)
+    r = -2.0 + (np.arange(256) + 0.5) * (4.0 / 256)
+    f = CylinderGrid(np.tile(np.exp(-np.pi * r ** 2), (16, 1)))
+    expect = math.gamma(s + 0.5) / (2 * math.pi) ** (s + 0.5)
+    assert sobolev_norm_cylinder(f, s) ** 2 == pytest.approx(expect, rel=0.01)
+
+
 def test_riesz_fourier_single_atom_closed_form():
     # exact constants of the truncated spectral integral for a point mass:
     # gamma(s) * 2 pi * R^s / s at R = 1/(2 delta), against delta^-s
