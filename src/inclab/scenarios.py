@@ -43,22 +43,23 @@ MAX_TUBE_CELLS = 2 ** 21
 MAX_SLICING_TABLE = 2 ** 21
 
 
-def _direction_cantor(counts, rngs):
-    """Dyadic s-dimensional subsets of [1/4, 3/4), one per generator of
-    `rngs`: row j holds the interval center angles of set j.
+def _direction_cantor(counts, seed, keys):
+    """Dyadic s-dimensional subsets of [1/4, 3/4), one per cell (ix, iy) of
+    `keys`: row j holds the interval center angles of the set of keys[j].
 
     Binary subdivision keeping the per-level child counts `counts` (from
     `_child_count_sequence(s, steps, 2)`, products in [2/3, 2) * 2^(j*s)); the
     surviving level-`steps` intervals have width 2^-(steps+1).  A level that
     keeps one child of two picks it with one fair bit per interval.  Each
-    generator draws all of its set's bits in one call, which gives the
-    stream that one call per level would give, and the levels run on all
-    sets at once.
+    cell draws all of its set's bits in one call to its own generator,
+    seeded [seed, ix, iy], which gives the stream that one call per level
+    would give; the levels then run on all sets at once.
     """
     picks = sum(math.prod(counts[:j]) for j, mj in enumerate(counts)
                 if mj == 1)
-    draws = np.array([rng.integers(0, 2, size=picks) for rng in rngs])
-    lows = np.full((len(rngs), 1), 0.25)
+    draws = np.array([np.random.default_rng([seed, ix, iy])
+                      .integers(0, 2, size=picks) for ix, iy in keys])
+    lows = np.full((len(keys), 1), 0.25)
     width = 0.5
     used = 0
     for mj in counts:
@@ -114,8 +115,7 @@ def build_furstenberg(s, t, delta, seed):
     blocks = []
     for a in range(0, len(mu), per_block):
         block = slice(a, a + per_block)
-        thetas = _direction_cantor(counts, [np.random.default_rng([seed, ix, iy])
-                                            for ix, iy in keys[block]])
+        thetas = _direction_cantor(counts, seed, keys[block])
         fams = _tube_families(pts[block], thetas, delta)
         _check_families(fams, pts[block], keys[block], s, delta)
         blocks.append(fams)
