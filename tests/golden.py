@@ -1,22 +1,28 @@
-"""Committed sha256 digests of the quick verify trees and of the desk
-acceptance results, and their checks.
+"""Committed sha256 digests of the quick verify trees, of the desk
+acceptance results and of the demos' standard output, and their checks.
 
 `golden.json` holds, for each named tree, the digest of every file a
 `verify` run writes; for each desk acceptance experiment, the digest of
-its `(rows, summary)` at seed DESK_SEED; and the Python, numpy and scipy
-versions the digests were written with: floating-point results may move
-with any of them.  `tools/write_golden.py` rewrites the file.
+its `(rows, summary)` at seed DESK_SEED; for each demo script, the digest
+of what it prints; and the Python, numpy and scipy versions the digests
+were written with: floating-point results may move with any of them.
+`tools/write_golden.py` rewrites the file.
 """
 
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 GOLDEN = Path(__file__).with_name("golden.json")
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # tree name -> the command line that writes it (with --out appended)
 TREES = {
@@ -36,6 +42,11 @@ def environment():
             "scipy": scipy.__version__}
 
 
+def _versions(golden):
+    return (f"written with {golden['environment']}; this run has "
+            f"{environment()}")
+
+
 def tree_digests(out):
     """sha256 of each file in a directory, by file name."""
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -49,8 +60,8 @@ def check_tree(name, out):
     moved = sorted(k for k in want.keys() | got.keys()
                    if want.get(k) != got.get(k))
     assert not moved, (
-        f"{name}: {', '.join(moved)} differ from {GOLDEN.name}, written "
-        f"with {golden['environment']}; this run has {environment()}")
+        f"{name}: {', '.join(moved)} differ from {GOLDEN.name}, "
+        f"{_versions(golden)}")
 
 
 def result_digest(rows, summary):
@@ -65,5 +76,27 @@ def check_desk(name, rows, summary):
     committed."""
     golden = json.loads(GOLDEN.read_text())
     assert result_digest(rows, summary) == golden["desk"][name], (
-        f"{name} at seed {DESK_SEED} differs from {GOLDEN.name}, written "
-        f"with {golden['environment']}; this run has {environment()}")
+        f"{name} at seed {DESK_SEED} differs from {GOLDEN.name}, "
+        f"{_versions(golden)}")
+
+
+def run_demo(path):
+    """Run a demo script from the repository root with this checkout's src
+    on its path; returns the completed process, output as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def stdout_digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def check_demo(name, stdout):
+    """Assert that demo `name` printed what it printed when committed."""
+    golden = json.loads(GOLDEN.read_text())
+    assert stdout_digest(stdout) == golden["demos"][name], (
+        f"{name}'s standard output differs from {GOLDEN.name}, "
+        f"{_versions(golden)}")

@@ -1,14 +1,13 @@
-"""Each demo script runs to completion and prints its report."""
+"""Each demo script runs to completion and prints its report, byte for
+byte as committed in golden.json."""
 
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from golden import DEMOS, check_demo, run_demo  # noqa: E402
 
 
 def test_all_demos_found():
@@ -17,10 +16,7 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = run_demo(demo)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    check_demo(demo.stem, done.stdout)

@@ -1,12 +1,13 @@
-"""Rewrite tests/golden.json from fresh quick verify runs and desk
-acceptance experiments.
+"""Rewrite tests/golden.json from fresh quick verify runs, desk
+acceptance experiments and demo runs.
 
     PYTHONPATH=src python3 tools/write_golden.py
 
 Runs each tree of `tests/golden.py`'s TREES into a temporary directory and
 records the sha256 of every file, then runs each experiment of its DESK at
-DESK_SEED and records the sha256 of its (rows, summary), with the Python,
-numpy and scipy versions.  The desk experiments take one to two minutes
+DESK_SEED and records the sha256 of its (rows, summary), then runs each
+demo of its DEMOS and records the sha256 of its standard output, with the
+Python, numpy and scipy versions.  The desk experiments take one to two minutes
 on two cores.  Rewrite the file only when a change moves a reported number on
 purpose, and list each moved entry in CHANGES.md.
 """
@@ -32,8 +33,15 @@ def main():
     desk = {name: golden.result_digest(
                 *getattr(experiments, name)(seed=golden.DESK_SEED))
             for name in golden.DESK}
+    demos = {}
+    for path in golden.DEMOS:
+        done = golden.run_demo(path)
+        if done.returncode != 0:
+            raise SystemExit(f"{path.name} failed:\n{done.stderr}")
+        demos[path.stem] = golden.stdout_digest(done.stdout)
     golden.GOLDEN.write_text(json.dumps(
-        {"environment": golden.environment(), "trees": trees, "desk": desk},
+        {"environment": golden.environment(), "trees": trees, "desk": desk,
+         "demos": demos},
         indent=2, sort_keys=True) + "\n")
     print(f"wrote {golden.GOLDEN}")
 
