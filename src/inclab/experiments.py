@@ -8,6 +8,7 @@ identical calls produce identical artifacts.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import optimize, sparse
@@ -99,13 +100,16 @@ def exp_xray_check(seed=0, n=512, duality_n=256, duality_each=10):
     w = rng_m.uniform(0.5, 0.7)
     bump = _compact_bump(n, c, w)
     bump_half = _compact_bump(n // 2, c, w)
-    # one call, so grids of a side share each angle's sample geometry
-    r_gauss, r_gauss_half, r_bump, r_bump_half, *rgs = sp._xray(
-        [gauss, gauss_half, bump, bump_half] + gs)
+    # np.interp releases the interpreter lock, so a helper thread backprojects
+    # beside one `_xray` call (grids of a side share each angle's geometry)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        backprojected = helper.submit(lambda: [sp.adjoint_xray(f) for f in fs])
+        r_gauss, r_gauss_half, r_bump, r_bump_half, *rgs = sp._xray(
+            [gauss, gauss_half, bump, bump_half] + gs)
+        rstars = backprojected.result()
 
     res_full = sp.slice_identity_residual(gauss, r_gauss, seed=seed)
     res_half = sp.slice_identity_residual(gauss_half, r_gauss_half, seed=seed)
-    rstars = [sp.adjoint_xray(f) for f in fs]
     gaps = []
     for f, rf in zip(fs, rstars):
         for g, rg in zip(gs, rgs):

@@ -33,6 +33,11 @@ def _cell_centers(n):
     return -2.0 + (np.arange(n) + 0.5) * (4.0 / n)
 
 
+def _check_side(n):
+    if n < 16 or n & (n - 1):
+        raise ValueError("grid side must be a power of two, at least 16")
+
+
 @dataclass
 class PlanarGrid:
     """n x n cell-centered samples on [-2,2)^2 (n a power of two, >= 16)."""
@@ -43,9 +48,7 @@ class PlanarGrid:
         v = np.asarray(self.values)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("planar grid must be square")
-        n = v.shape[0]
-        if n < 16 or n & (n - 1):
-            raise ValueError("grid side must be a power of two, at least 16")
+        _check_side(v.shape[0])
         if not np.all(np.isfinite(v)):
             raise ValueError("grid values must be finite")
         self.values = v
@@ -216,13 +219,13 @@ def adjoint_xray(f):
     the r-range ends, so constants map to constants exactly).
     """
     n = f.n_r
+    _check_side(n)
     rs = f.rs()
-    X, Y = np.meshgrid(rs, rs, indexing="ij")
     acc = np.zeros((n, n))
     for i in range(f.n_theta):
         a = 2.0 * math.pi * (i / f.n_theta)
-        proj = X * math.cos(a) + Y * math.sin(a)
-        acc += np.interp(proj.ravel(), rs, f.values[i]).reshape(n, n)
+        acc += np.interp(rs[:, None] * math.cos(a) + rs[None, :] * math.sin(a),
+                         rs, f.values[i])
     return PlanarGrid(acc / f.n_theta)
 
 
@@ -408,9 +411,12 @@ def nonuniform_plane_fourier(g, points):
     exponential over the tensor grid, so the cost is M * n^2 without any
     spectrum interpolation error.
     """
+    points = np.asarray(points)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError("points must have shape (M, 2)")
     x = g.axis()
     out = np.empty(len(points), dtype=complex)
-    vals = g.values
+    vals = g.values.astype(complex)  # `@` would cast it once per point
     h2 = g.h ** 2
     for k, (xi1, xi2) in enumerate(points):
         vx = np.exp(-2j * math.pi * xi1 * x)

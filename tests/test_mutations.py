@@ -41,6 +41,7 @@ def mutate(monkeypatch, module, name, old, new):
 
 def quick_experiment_fails(name):
     run, kwargs = QUICK[name]
+    run = getattr(experiments, run.__name__)  # a mutated experiment, if any
     try:
         _, summary = run(seed=0, **kwargs)
     except AssertionError:  # a postcondition of the experiment's builders
@@ -83,6 +84,13 @@ def test_coarser_truncations_reuse_the_finest_energy_kernel(monkeypatch):
 def test_xray_angles_shifted_by_one_row(monkeypatch):
     mutate(monkeypatch, spectral, "_xray",
            "a = 2.0 * math.pi * (i / n)", "a = 2.0 * math.pi * ((i + 1) / n)")
+    assert quick_experiment_fails("fourier-slice")
+
+
+def test_backprojections_paired_with_the_wrong_inputs(monkeypatch):
+    mutate(monkeypatch, experiments, "exp_xray_check",
+           "[sp.adjoint_xray(f) for f in fs]",
+           "[sp.adjoint_xray(f) for f in fs[::-1]]")
     assert quick_experiment_fails("fourier-slice")
 
 

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.integrate import quad
 
-from inclab import spectral
+from inclab import experiments, spectral
 from inclab.measures import PlanarAtomMeasure, generate_cantor_measure
 from inclab.spectral import (_MARCH_MAX, CylinderGrid, PlanarGrid, _xray, adjoint_xray,
                              canonical_cutoff, cylinder_inner, mixed_fourier,
-                             plane_inner, riesz_energy_fourier, riesz_gamma,
+                             nonuniform_plane_fourier, plane_inner, riesz_energy_fourier, riesz_gamma,
                              slice_identity_residual, smoothing_ratio,
                              sobolev_norm_cylinder, sobolev_norm_plane, xray)
 
@@ -65,6 +66,30 @@ def xray_oracle(g):
         line = ndimage.map_coordinates(g.values, [ci.ravel(), cj.ravel()],
                                        order=1, mode="constant", cval=0.0)
         out[i, active] = line.reshape(ra.size, m).sum(axis=1) * h
+    return out
+
+
+def adjoint_oracle(f):
+    """The backprojection with the projection built from two meshgrids."""
+    n = f.n_r
+    rs = f.rs()
+    X, Y = np.meshgrid(rs, rs, indexing="ij")
+    acc = np.zeros((n, n))
+    for i in range(f.n_theta):
+        a = 2.0 * math.pi * (i / f.n_theta)
+        proj = X * math.cos(a) + Y * math.sin(a)
+        acc += np.interp(proj.ravel(), rs, f.values[i]).reshape(n, n)
+    return acc / f.n_theta
+
+
+def nonuniform_oracle(g, points):
+    """The planar Fourier sum with the real grid in each point's product."""
+    x = g.axis()
+    out = np.empty(len(points), dtype=complex)
+    for k, (xi1, xi2) in enumerate(points):
+        vx = np.exp(-2j * math.pi * xi1 * x)
+        vy = np.exp(-2j * math.pi * xi2 * x)
+        out[k] = g.h ** 2 * (vx @ g.values @ vy)
     return out
 
 
@@ -206,6 +231,60 @@ def test_adjoint_duality_random_pairs(seed):
     lhs = plane_inner(adjoint_xray(f), g)
     rhs = cylinder_inner(f, xray(g))
     assert abs(lhs - rhs) <= 1e-6 * f.norm_l2() * g.norm_l2()
+
+
+@pytest.mark.parametrize("n_theta, n_r", [(16, 16), (64, 64), (24, 32),
+                                          (100, 16), (7, 128)])
+def test_adjoint_matches_meshgrid_oracle(n_theta, n_r):
+    rng = np.random.default_rng(n_theta * n_r)
+    f = CylinderGrid(rng.standard_normal((n_theta, n_r)))
+    assert_bits_equal(adjoint_xray(f).values, adjoint_oracle(f))
+
+
+def test_adjoint_rejects_bad_side_before_any_angle(monkeypatch):
+    def no_interp(*args, **kwargs):
+        raise AssertionError("angle loop ran before the side was checked")
+
+    monkeypatch.setattr(np, "interp", no_interp)
+    for n_r in (8, 24, 100):
+        with pytest.raises(ValueError, match="power of two"):
+            adjoint_xray(CylinderGrid(np.ones((64, n_r))))
+
+
+def test_xray_check_helper_thread_raises_and_joins(monkeypatch):
+    def broken(f):
+        raise RuntimeError("backprojection failed")
+
+    monkeypatch.setattr(spectral, "adjoint_xray", broken)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="backprojection failed"):
+        experiments.exp_xray_check(n=32, duality_n=32, duality_each=2)
+    assert threading.active_count() == before
+
+
+def test_nonuniform_fourier_matches_per_point_oracle():
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-8.0, 8.0, (40, 2))
+    for n in (16, 64):
+        g = random_bumps(rng, n)
+        assert_bits_equal(nonuniform_plane_fourier(g, pts).view(float),
+                          nonuniform_oracle(g, pts).view(float))
+
+
+def test_nonuniform_fourier_gaussian_closed_form():
+    # exp(-pi |x|^2) is its own Fourier transform; the box cuts off
+    # about 1e-6 of its mass
+    pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.3, -0.7], [1.2, 0.4]])
+    got = nonuniform_plane_fourier(gaussian_grid(128), pts)
+    want = np.exp(-math.pi * np.sum(pts ** 2, axis=1))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+
+def test_nonuniform_fourier_rejects_points_not_m_by_2():
+    g = gaussian_grid(16)
+    for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((2, 2, 2)), [[0.5]]):
+        with pytest.raises(ValueError, match="shape"):
+            nonuniform_plane_fourier(g, bad)
 
 
 def test_mixed_fourier_pure_mode():
