@@ -6,9 +6,11 @@ constants, covering numbers, and Riesz energies computed two independent
 ways (direct pair sums and the weighted Fourier integral).
 """
 
-from inclab.measures import (covering_number, frostman_constant,
-                             generate_cantor_measure, generate_line_measure,
-                             riesz_energy_direct)
+import numpy as np
+
+from inclab.measures import (PlanarAtomMeasure, covering_number,
+                             frostman_constant, generate_cantor_measure,
+                             generate_line_measure, riesz_energy_direct)
 from inclab.spectral import riesz_energy_fourier
 
 delta = 2.0 ** -8
@@ -20,7 +22,14 @@ for s in (0.6, 1.0, 1.4, 1.8):
           f"{frostman_constant(m, s):6.3f}")
 
 print("\n== the four-corner construction (dimension 1) ==")
-m = generate_cantor_measure(1.0, 4.0 ** -4, seed=0, style="four_corner")
+# four times over, keep the four corner squares of side 1/4 of each cell
+corners = np.array([[0, 0], [0, 3], [3, 0], [3, 3]])
+cells = np.zeros((1, 2), dtype=int)
+for _ in range(4):
+    cells = (4 * cells[:, None] + corners).reshape(-1, 2)
+ix0 = 2 * 4 ** 4  # the cell column of x = 0 in the plane box [-2, 2)
+m = PlanarAtomMeasure(4.0 ** -4, ix0 + cells[:, 0], ix0 + cells[:, 1],
+                      np.full(len(cells), 4.0 ** -4))
 print(f"  {len(m)} atoms at resolution 4^-4 (expected {4 ** 4})")
 P = m.support()
 for j in range(5):

@@ -47,11 +47,15 @@ def _parse_deltas(text):
     return tuple(out)
 
 
-def _seed(text):
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
-    return seed
+def _int_at_least(low, rule):
+    """argparse type: an int of at least `low`, else exit 2 naming `rule`."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {rule}: {text!r}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" for a non-int
+    return parse
 
 
 def _rows_to_csv(rows):
@@ -176,8 +180,7 @@ def cmd_verify(args):
         name, func, params = entry
         return name, func(seed=args.seed, **params[args.scale])
 
-    workers = max(1, args.threads)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
         # map yields in plan order, so outputs do not depend on completion order
         results = list(pool.map(run_one, ex.VERIFY_PLAN))
 
@@ -214,13 +217,15 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file of flat key/value defaults")
     common.add_argument("--out", default="out")
-    common.add_argument("--seed", type=_seed, default=0)
+    common.add_argument("--seed", type=_int_at_least(0, "non-negative"),
+                        default=0)
     common.add_argument("--format", choices=FORMATS, default="both")
     flags = {
         "deltas": dict(type=_parse_deltas,
                        help="comma list, e.g. '2^-5,2^-6' or '0.03125'"),
         # a string default goes through type too, so a bad value exits 2
-        "threads": dict(type=int, default=os.environ.get("INCLAB_THREADS", "1"),
+        "threads": dict(type=_int_at_least(1, "at least 1"),
+                        default=os.environ.get("INCLAB_THREADS", "1"),
                         help="default: $INCLAB_THREADS, else 1"),
         "t": dict(type=float),
         "s": dict(type=float),

@@ -229,26 +229,28 @@ def _pair_energy_direct(pts, w, s, truncs):
     """Blocked double sums of w_i w_j max(|x_i-x_j|, trunc)^-s (diagonal
     included), one per trunc in `truncs`, from one distance pass.
 
-    Per block the kernel starts at the finest truncation; each coarser one
-    overwrites in place only the entries below it, since its mask holds
+    Per row slice the kernel starts at the finest truncation; each coarser
+    one overwrites in place only the entries below it, since its mask holds
     every finer one, so every entry carries the bits of a fresh evaluation.
+    Kernel rows are built 256 at a time, so no array exceeds 256 x n (5.3 MB
+    at n = 2592).  A row's weighted sum k @ w does not depend on the slice
+    it sits in, and the outer sums keep their 2048-row blocks, so the
+    energies have the bits of whole-block products.
     """
     n = pts.shape[0]
-    block = 2048
     ladder = sorted(set(truncs))
-    partials = [[] for _ in ladder]
-    for a in range(0, n, block):
-        pa = pts[a:a + block]
-        dx = pa[:, 0:1] - pts[None, :, 0]
-        dy = pa[:, 1:2] - pts[None, :, 1]
-        d = np.hypot(dx, dy)
-        del dx, dy
+    kw = np.empty((len(ladder), n))  # kw[i, r] = sum_j k_i(x_r, x_j) w_j
+    for a in range(0, n, 256):
+        pa = pts[a:a + 256]
+        d = np.hypot(pa[:, 0:1] - pts[None, :, 0], pa[:, 1:2] - pts[None, :, 1])
         k = np.maximum(d, ladder[0]) ** -s
-        for trunc, part in zip(ladder, partials):
+        for i, trunc in enumerate(ladder):
             near = d < trunc
             k[near] = np.maximum(d[near], trunc) ** -s
-            part.append(float(np.dot(w[a:a + block], k @ w)))
-    energy = dict(zip(ladder, map(math.fsum, partials)))
+            kw[i, a:a + 256] = k @ w
+    energy = {trunc: math.fsum(np.dot(w[a:a + 2048], row[a:a + 2048])
+                               for a in range(0, n, 2048))
+              for trunc, row in zip(ladder, kw)}
     return [energy[trunc] for trunc in truncs]
 
 
@@ -330,21 +332,24 @@ def radial_projection_covering(q, P):
 
     Maps each cell center y to the angle of (q - y)/|q - y| in [0,1)
     revolutions and counts distinct dyadic intervals of length `resolution`.
-    Requires dist(q, P) >= 1/4.
+    One viewpoint q = (x, y) gives an int; a (k, 2) array of viewpoints
+    gives an int array, one count per viewpoint.  Requires dist(q, P) >= 1/4
+    for every viewpoint.
     """
-    if len(P) == 0:
-        return 0
+    qs = np.reshape(np.asarray(q, dtype=float), (-1, 2))
     pts = P.centers()
-    dx = q[0] - pts[:, 0]
-    dy = q[1] - pts[:, 1]
-    dist = np.hypot(dx, dy)
-    if dist.min() < 0.25:
+    dx = qs[:, 0:1] - pts[:, 0]
+    dy = qs[:, 1:2] - pts[:, 1]
+    if np.hypot(dx, dy).min(initial=np.inf) < 0.25:
         raise ValueError("separation violated")
     ang = np.mod(np.arctan2(dy, dx) / (2.0 * math.pi), 1.0)
     bins = np.floor(ang / P.resolution).astype(np.int64)
     nbins = round(1.0 / P.resolution)
     bins[bins >= nbins] = 0  # angle rounding onto 1.0 wraps to bin 0
-    return int(np.unique(bins).size)
+    bins.sort(axis=1)
+    # bins are non-negative, so the -1 in front makes each row's first bin new
+    counts = (np.diff(bins, axis=1, prepend=-1) != 0).sum(axis=1)
+    return int(counts[0]) if np.ndim(q) == 1 else counts
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +432,7 @@ def _check_atom_count(atoms):
                          f"MAX_GENERATED_ATOMS = {MAX_GENERATED_ATOMS}")
 
 
-def _generate_measure(root, s, delta, seed, window, style):
+def _generate_measure(root, s, delta, seed, window):
     if not (0.0 < s <= 2.0):
         raise ValueError(f"infeasible dimension {s} (need 0 < dimension <= 2)")
     level = level_for_resolution(root, delta)
@@ -446,25 +451,13 @@ def _generate_measure(root, s, delta, seed, window, style):
         cells.append(cell)
     cells = np.concatenate(cells)
 
-    if style == "four_corner":
-        if not math.isclose(s, 1.0):
-            raise ValueError("four_corner style is the dimension-1 construction")
-        if steps % 2:
-            raise ValueError("four_corner style needs an even number of levels")
-        _check_atom_count(len(cells) * 4 ** (steps // 2))
-        for j in range(steps):
-            # keep all four children, then the child continuing each offset
-            pick = (np.arange(4) if j % 2 == 0
-                    else (np.arange(len(cells)) % 4)[:, None])
-            cells = _children(cells, pick)
-    else:
-        counts = _child_count_sequence(s, steps, 4)
-        _check_atom_count(len(cells) * math.prod(counts))
-        rng = np.random.default_rng(seed)
-        for mj in counts:
-            pick = (np.arange(4) if mj == 4 else
-                    np.argsort(rng.random((len(cells), 4)), axis=1)[:, :mj])
-            cells = _children(cells, pick)
+    counts = _child_count_sequence(s, steps, 4)
+    _check_atom_count(len(cells) * math.prod(counts))
+    rng = np.random.default_rng(seed)
+    for mj in counts:
+        pick = (np.arange(4) if mj == 4 else
+                np.argsort(rng.random((len(cells), 4)), axis=1)[:, :mj])
+        cells = _children(cells, pick)
 
     w = np.full(len(cells), 1.0 / len(cells))
     m = (PlanarAtomMeasure if root == PLANE else LineParamMeasure)(
@@ -489,21 +482,16 @@ def _check_generated(m, s, delta, window_side):
                 f"{codes.size}, target {target:.3g}")
 
 
-def generate_cantor_measure(s, delta, seed, window=None, style="random"):
+def generate_cantor_measure(s, delta, seed, window=(-0.5, 0.5, -0.5, 0.5)):
     """Deterministic-pseudorandom s-dimensional measure on the plane grid.
 
     Subdivides the window squares down to cell side `delta`, keeping at each
     level a seeded subset of children so the kept count after j levels is
-    within [2/3, 2) times 2^(j*s); kept leaves get equal weights summing to one.  Style
-    "four_corner" builds the classical corner Cantor set (s = 1 only).
+    within [2/3, 2) times 2^(j*s); kept leaves get equal weights summing to one.
     Postconditions (Frostman constant <= 16, covering counts within factor 16
     of the dimension-s law) are verified and raise on failure.
     """
-    if window is None:
-        window = (-0.5, 0.5, -0.5, 0.5)
-        if style == "four_corner":
-            window = (0.0, 1.0, 0.0, 1.0)
-    return _generate_measure(PLANE, s, delta, seed, window, style)
+    return _generate_measure(PLANE, s, delta, seed, window)
 
 
 def generate_line_measure(s, delta, seed, window=(0.25, 0.75, -1.0, 1.0)):
@@ -512,4 +500,4 @@ def generate_line_measure(s, delta, seed, window=(0.25, 0.75, -1.0, 1.0)):
     The window (theta_lo, theta_hi, r_lo, r_hi) defaults to [1/4,3/4] x [-1,1]
     so the angle seam at 0 = 1 is never active.
     """
-    return _generate_measure(LINESPACE, s, delta, seed, window, "random")
+    return _generate_measure(LINESPACE, s, delta, seed, window)

@@ -123,6 +123,16 @@ def build_furstenberg(s, t, delta, seed):
                              s, t, delta, seed)
 
 
+# tube row k of the line-parameter box holds the offsets from
+# R_LOW + k delta up to R_LOW + (k + 1) delta
+R_LOW = -2.0
+
+
+def _row(r, delta):
+    """The tube row holding offset r."""
+    return np.floor((r - R_LOW) / delta).astype(np.int64)
+
+
 def _tube_families(pts, thetas, delta):
     """Store of the line-parameter cells (theta, pts[j] . e_theta), family j
     over the angles of row j of the (families, angles) array thetas."""
@@ -131,7 +141,7 @@ def _tube_families(pts, thetas, delta):
     r = project(pts[family], theta)
     return CellFamilies(LINESPACE, delta,
                         np.floor(theta / delta).astype(np.int64),
-                        np.floor((r + 2.0) / delta).astype(np.int64), family)
+                        _row(r, delta), family)
 
 
 def _check_families(fams, pts, keys, s, delta):
@@ -213,16 +223,12 @@ def build_slicing(s, t, tau, delta, seed):
     # in column c, E-cell k's tube rows are [a[c, k], b[c, k]] (none when
     # a > b): rows within 2 delta of the cell's range whose tube can meet
     # F's window, r0 <= window hi and r0 + delta >= window lo
-    r0 = np.arange(ny) * delta - 2.0
+    r0 = R_LOW + np.arange(ny) * delta
     first = np.searchsorted(r0 + delta, corner_lo.min(axis=1), side="left")
     last = np.searchsorted(r0, corner_hi.max(axis=1), side="right") - 1
-
-    def row(r):  # the tube row holding offset r
-        return np.floor((r + 2.0) / delta).astype(np.int64)
-
-    a = np.maximum(row(e_lo - 2.0 * delta), first[:, None])
-    b = np.minimum(row(e_hi + 2.0 * delta), last[:, None])
-    y_lo, y_hi = row(f_lo), row(f_hi)
+    a = np.maximum(_row(e_lo - 2.0 * delta, delta), first[:, None])
+    b = np.minimum(_row(e_hi + 2.0 * delta, delta), last[:, None])
+    y_lo, y_hi = _row(f_lo, delta), _row(f_hi, delta)
     masses = []
     for k in range(len(nu)):
         # an F-cell is covered when, in some column, its row range
@@ -248,16 +254,15 @@ def build_slicing(s, t, tau, delta, seed):
                          s, t, tau, delta, seed)
 
 
-def tube_cell_members(cfg, tube_cell):
-    """F-cells met by the tube of one parameter cell (2 delta halfwidth slack)."""
-    delta = cfg.delta
-    slack = 2.0 * delta
-    c, kcell = tube_cell
-    lo, hi = cfg.f_lo[c], cfg.f_hi[c]
-    r_lo = kcell * delta - 2.0 - slack
-    r_hi = (kcell + 1) * delta - 2.0 + slack
-    hit = (lo <= r_hi) & (hi >= r_lo)
-    return PointSet(PLANE, delta, cfg.mu.ix[hit], cfg.mu.iy[hit])
+def tube_cell_members(cfg, cols, rows):
+    """Hit mask of the tube cells (cols[i], rows[i]) against the F-cells:
+    entry (i, j) says whether F-cell j meets the tube of cell i, with 2 delta
+    halfwidth slack."""
+    slack = 2.0 * cfg.delta
+    r_lo = R_LOW + rows * cfg.delta - slack
+    r_hi = R_LOW + (rows + 1) * cfg.delta + slack
+    return ((cfg.f_lo[cols] <= r_hi[:, None])
+            & (cfg.f_hi[cols] >= r_lo[:, None]))
 
 
 def slicing_tube_content(cfg):
@@ -271,12 +276,12 @@ def slicing_tube_content(cfg):
     fams = cfg.tubes
     cells, inv = np.unique(_cell_codes(LINESPACE, fams.level, fams.ix, fams.iy),
                            return_inverse=True)
-    slices = [tube_cell_members(cfg, tc) for tc in zip(*(
-        a.tolist() for a in _cell_index(LINESPACE, fams.level, cells)))]
-    met = np.array([len(m) > 0 for m in slices])
-    # one store of the non-empty slices; rebinding frees the single sets
-    # before the DP runs
-    slices = CellFamilies.concatenate([m for m in slices if len(m)])
+    hits = tube_cell_members(cfg, *_cell_index(LINESPACE, fams.level, cells))
+    met = hits.any(axis=1)
+    # one store of the non-empty slices, slice k the k-th tube cell met
+    slice_no, member = np.nonzero(hits[met])
+    slices = CellFamilies(PLANE, cfg.delta, cfg.mu.ix[member],
+                          cfg.mu.iy[member], slice_no)
     values = np.zeros(cells.size)
     values[met] = dyadic_content(slices, cfg.tau - 1.0)
     values = values[inv]
@@ -366,14 +371,14 @@ def radial_check(E, F, sigma, delta, s, t, seed=0):
         subsets.append(PointSet(E.root, E.resolution, E.ix[pick], E.iy[pick]))
 
     threshold = delta ** (-sigma)
-    rows = []
-    for i in qi:
-        q = (float(fc[i, 0]), float(fc[i, 1]))
-        full = radial_projection_covering(q, E)
-        worst = min([full] + [radial_projection_covering(q, sub)
-                              for sub in subsets])
-        rows.append({"q_x": q[0], "q_y": q[1], "covering_full": full,
-                     "covering_min": worst})
+    qs = fc[qi]
+    full = radial_projection_covering(qs, E)
+    worst = np.min([full] + [radial_projection_covering(qs, sub)
+                             for sub in subsets], axis=0)
+    # tolist gives Python floats and ints, which the JSON summary needs
+    rows = [{"q_x": x, "q_y": y, "covering_full": f, "covering_min": w}
+            for (x, y), f, w in zip(qs.tolist(), full.tolist(),
+                                    worst.tolist())]
     best = max(rows, key=lambda r: r["covering_min"])  # the first maximum
     hits = sum(r["covering_min"] >= threshold for r in rows)
     return rows, {"threshold": threshold,

@@ -157,7 +157,11 @@ def test_invalid_parameter_exit_2(tmp_path, tmp_path_factory, capsys):
                           (["energy", "--seed", "-1", "--deltas", "2^-5"],
                            "argument --seed: must be non-negative: '-1'"),
                           (["verify", "--scale", "quick", "--seed", "-1"],
-                           "argument --seed: must be non-negative: '-1'")):
+                           "argument --seed: must be non-negative: '-1'"),
+                          (["verify", "--scale", "quick", "--threads", "0"],
+                           "argument --threads: must be at least 1: '0'"),
+                          (["verify", "--scale", "quick", "--threads", "-4"],
+                           "argument --threads: must be at least 1: '-4'")):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
     # so does a config key the command never reads
@@ -240,6 +244,12 @@ def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "energy")]) == 0
     assert cli.main(["verify", "--out", str(tmp_path / "verify")]) == 2
     assert "argument --threads: invalid int value: 'abc'" in \
+        capsys.readouterr().err
+    # a thread count below 1 is rejected, not run with one thread
+    monkeypatch.setenv("INCLAB_THREADS", "0")
+    assert cli.main(["verify", "--scale", "quick",
+                     "--out", str(tmp_path / "verify")]) == 2
+    assert "argument --threads: must be at least 1: '0'" in \
         capsys.readouterr().err
     assert not (tmp_path / "verify").exists()
 

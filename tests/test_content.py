@@ -15,7 +15,9 @@ from inclab.experiments import (content_cover_lp, enumerate_cover_min,
                                 exp_content)
 from inclab.geometry import (LINESPACE, PLANE, _cell_codes, grid_shape,
                              level_for_resolution, side_at_level)
-from inclab.measures import CellFamilies, PointSet, generate_cantor_measure
+from inclab.measures import CellFamilies, PointSet
+
+from test_measures import four_corner_measure
 
 
 def bottom_row(k):
@@ -191,8 +193,7 @@ def test_delta_s_constant_examples():
     assert smallest_delta_s_constant(unit_square_cells(4), 2.0) == pytest.approx(1.0)
     single = PointSet(PLANE, 2.0 ** -5, [9], [9])
     assert smallest_delta_s_constant(single, 1.0) == pytest.approx(2.0 ** 5)
-    cantor = generate_cantor_measure(1.0, 4.0 ** -5, seed=0,
-                                     style="four_corner").support()
+    cantor = four_corner_measure(5).support()
     c = smallest_delta_s_constant(cantor, 1.0)
     assert 1.0 <= c <= 16.0
 

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from inclab.content import (dyadic_content, extract_katz_tao_subset,
                             smallest_delta_s_constant, smallest_katz_tao_constant)
 from inclab.geometry import LINESPACE, PLANE, grid_shape, side_at_level
-from inclab.experiments import RADIAL_E_WINDOW
-from inclab.measures import (AtomMeasure, CellFamilies, LineParamMeasure,
-                             PlanarAtomMeasure, PointSet, _check_generated,
+from inclab.experiments import RADIAL_E_WINDOW, RADIAL_F_WINDOW
+from inclab.measures import (OFFSETS, AtomMeasure, CellFamilies,
+                             LineParamMeasure, PlanarAtomMeasure, PointSet,
+                             _check_generated,
                              _child_count_sequence, _pair_energy_direct,
                              _pair_energy_fft, _window_cells,
                              covering_number, frostman_constant,
@@ -29,6 +30,17 @@ def unit_square_grid(k):
                              np.full(n * n, 1.0 / (n * n)))
 
 
+def four_corner_measure(k):
+    """The four-corner Cantor set on [0,1)^2 at resolution 4^-k, equal
+    weights: each of k steps keeps the four corner squares of side 1/4."""
+    cells = np.zeros((1, 2), dtype=np.int64)
+    for _ in range(k):
+        cells = (4 * cells[:, None] + 3 * OFFSETS).reshape(-1, 2)
+    ix0 = 2 * 4 ** k  # the column of x = 0 in the plane box [-2, 2)
+    return PlanarAtomMeasure(4.0 ** -k, ix0 + cells[:, 0], ix0 + cells[:, 1],
+                             np.full(4 ** k, 4.0 ** -k))
+
+
 def test_frostman_single_atom():
     m = PlanarAtomMeasure(2.0 ** -6, [100], [100], [1.0])
     assert frostman_constant(m, 1.0) == pytest.approx(2.0 ** 6)
@@ -40,7 +52,7 @@ def test_frostman_uniform_s2():
 
 
 def test_frostman_four_corner():
-    m = generate_cantor_measure(1.0, 4.0 ** -5, seed=0, style="four_corner")
+    m = four_corner_measure(5)
     assert len(m) == 4 ** 5
     c = frostman_constant(m, 1.0)
     assert 1.0 <= c <= 8.0
@@ -107,6 +119,33 @@ def test_energy_fft_matches_blocked_sum():
                 assert abs(a - b) / a < 1e-10
 
 
+def whole_block_energies(pts, w, s, truncs):
+    """Reference: each 2048-row kernel block built whole, then k @ w."""
+    n = pts.shape[0]
+    sums = {trunc: [] for trunc in truncs}
+    for a in range(0, n, 2048):
+        pa = pts[a:a + 2048]
+        d = np.hypot(pa[:, 0:1] - pts[None, :, 0], pa[:, 1:2] - pts[None, :, 1])
+        for trunc in truncs:
+            k = np.maximum(d, trunc) ** -s
+            sums[trunc].append(float(np.dot(w[a:a + 2048], k @ w)))
+    return [math.fsum(sums[trunc]) for trunc in truncs]
+
+
+@pytest.mark.parametrize("n", [1, 7, 255, 257, 1943, 2049, 2301])
+def test_energy_row_slices_match_whole_block_products(n):
+    # kernel rows are built 256 at a time; the energies must keep the bits
+    # of whole 2048-row blocks, which the pinned bench and desk outputs hold
+    rng = np.random.default_rng(n)
+    pts = rng.random((n, 2))
+    w = rng.random(n)
+    w /= w.sum()
+    truncs = [2.0 ** -k for k in range(5, 10)]
+    for s in (0.3, 1.0, 1.7):
+        assert _pair_energy_direct(pts, w, s, truncs) == whole_block_energies(
+            pts, w, s, truncs)
+
+
 @pytest.mark.parametrize("trunc", [
     math.nan, math.inf, -math.inf, 0.0, -2.0 ** -6, [], np.array([]),
     [2.0 ** -5, math.nan], [math.inf], (2.0 ** -5, 0.0)])
@@ -146,7 +185,7 @@ def test_covering_number_grid():
 
 def test_covering_number_cantor():
     k = 5
-    m = generate_cantor_measure(1.0, 4.0 ** -k, seed=0, style="four_corner")
+    m = four_corner_measure(k)
     P = m.support()
     for j in range(k + 1):
         assert covering_number(P, 4.0 ** -j) == 4 ** j
@@ -193,6 +232,25 @@ def test_radial_projection_separation_error():
         radial_projection_covering((0.1, 0.1), P)
 
 
+def test_radial_projection_viewpoint_array_matches_single_calls():
+    # the desk radial fixture at 2^-8: E from every F-cell center at once
+    delta = 2.0 ** -8
+    E = generate_cantor_measure(0.8, delta, [2026, 10, 0],
+                                window=RADIAL_E_WINDOW).support()
+    F = generate_cantor_measure(1.5, delta, [2026, 10, 1],
+                                window=RADIAL_F_WINDOW).support()
+    qs = F.centers()
+    counts = radial_projection_covering(qs, E)
+    assert counts.shape == (len(F),) and counts.dtype.kind == "i"
+    single = [radial_projection_covering((x, y), E) for x, y in qs.tolist()]
+    assert counts.tolist() == single
+    assert len(set(single)) > 1
+    # one viewpoint too close makes the whole call raise
+    near = np.concatenate([qs, E.centers()[:1] + 0.1])
+    with pytest.raises(ValueError, match="separation violated"):
+        radial_projection_covering(near, E)
+
+
 def test_window_cells():
     levels, _, _ = _window_cells(PLANE, (-0.5, 0.5, -0.5, 0.5))
     assert levels.size == 4
@@ -220,8 +278,8 @@ def _cells_digest(m):
     pytest.param(lambda: generate_line_measure(1.5, 2.0 ** -7, 2026),
                  "af2ce8de29ad29048cb7a92e5304817889a40d436d7343b48802680bab397e8e",
                  id="line-default-window"),
-    pytest.param(lambda: generate_cantor_measure(1.0, 4.0 ** -4, 0,
-                                                 style="four_corner"),
+    # the set that the generator's removed four-corner style built
+    pytest.param(lambda: four_corner_measure(4),
                  "fabf58d89dfa095660a30c095bbddbee80c7587cf6687e49e337d9e32b581849",
                  id="four-corner"),
 ])

@@ -19,6 +19,7 @@ from inclab.measures import PointSet
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import test_incidence  # noqa: E402
 import test_measures  # noqa: E402
+import test_scenarios  # noqa: E402
 import test_spectral  # noqa: E402
 
 QUICK = {name: (run, scales["quick"])
@@ -161,3 +162,22 @@ def test_direction_cantor_keeps_one_child_of_two(monkeypatch):
     mutate(monkeypatch, scenarios, "_direction_cantor",
            "if mj == 2:", "if mj > 2:")
     assert quick_experiment_fails("furstenberg")
+
+
+def test_slice_slack_of_one_delta_in_tube_cell_members(monkeypatch):
+    # criterion 10 does not see this one, quick or desk: the smallest slice
+    # maximum stays 1.516 with slope 0, so the fresh-range members must
+    mutate(monkeypatch, scenarios, "tube_cell_members",
+           "slack = 2.0 * cfg.delta", "slack = cfg.delta")
+    with pytest.raises(AssertionError):
+        test_scenarios.test_tube_cell_members_match_fresh_projection_ranges()
+
+
+def test_covering_min_from_e_alone_in_radial_check(monkeypatch):
+    # criterion 11 does not see this one, quick or desk: a larger minimum
+    # only raises the best covering (34 to 38 quick, 62 to 69 desk, against
+    # thresholds 18.4 and 27.9), so the one-viewpoint recount must
+    mutate(monkeypatch, scenarios, "radial_check",
+           "for sub in subsets]", "for sub in subsets[:0]]")
+    with pytest.raises(AssertionError):
+        test_scenarios.test_radial_check_rows_match_single_viewpoint_calls()

@@ -8,7 +8,8 @@ from inclab import scenarios
 from inclab.content import dyadic_content, extract_katz_tao_subset
 from inclab.geometry import LINESPACE, PLANE, grid_shape, projection_range
 from inclab.measures import (CellFamilies, PointSet, _child_count_sequence,
-                             generate_cantor_measure)
+                             generate_cantor_measure,
+                             radial_projection_covering)
 from inclab.scenarios import (F_WINDOW, _check_families, build_furstenberg,
                               build_slicing, furstenberg_content,
                               radial_check, slicing_tube_content,
@@ -92,9 +93,10 @@ def test_slicing_separation_and_determinism():
 
 def test_slicing_witness_reproducible():
     cfg = build_slicing(0.6, 1.6, 1.3, 2.0 ** -6, seed=7)
-    value, _, tube_cell = slicing_tube_content(cfg)
+    value, _, (c, row) = slicing_tube_content(cfg)
     assert value > 0
-    members = tube_cell_members(cfg, tube_cell)
+    hit = tube_cell_members(cfg, np.array([c]), np.array([row]))[0]
+    members = PointSet(PLANE, cfg.delta, cfg.mu.ix[hit], cfg.mu.iy[hit])
     again = dyadic_content(members, cfg.tau - 1.0).value
     assert again == value
 
@@ -174,18 +176,33 @@ def test_slicing_table_guard_counts_e_cells(monkeypatch):
         build_slicing(1.0, 1.0183, 1.009, 2.0 ** -7, seed=0)
 
 
+def fresh_tube_hits(cfg, c, row):
+    """The F-cells met by the tube of cell (c, row), with 2 delta halfwidth
+    slack, from a fresh projection_range over the cell's angle column."""
+    delta = cfg.delta
+    lo, hi = projection_range(cfg.mu.centers(), c * delta, (c + 1) * delta)
+    return ((lo <= (row + 1) * delta - 2.0 + 2.0 * delta)
+            & (hi >= row * delta - 2.0 - 2.0 * delta))
+
+
 @pytest.mark.parametrize("seed,level,has_empty", [([0, 9], 5, False),
                                                   (7, 6, False), (8, 7, True)])
 def test_slicing_witness_matches_loop_over_families(seed, level, has_empty):
     # strict > keeps the first maximum in (E-cell, tube cell) order, among
     # hundreds of tied pairs; a tube meeting no F-cell counts 0
     cfg = build_slicing(0.6, 1.6, 1.3, 2.0 ** -level, seed=seed)
+    # one mask call over the tube cells of every family, in store order
+    hits = tube_cell_members(cfg, cfg.tubes.ix, cfg.tubes.iy)
+    assert hits.shape == (len(cfg.tubes), len(cfg.mu))
     best = (0.0, None, None)
     values = []
     for k in range(cfg.tubes.starts.size):
         fam = cfg.tubes.family(k)
         for tc in zip(fam.ix.tolist(), fam.iy.tolist()):
-            members = tube_cell_members(cfg, tc)
+            hit = fresh_tube_hits(cfg, *tc)
+            assert np.array_equal(hits[len(values)], hit)
+            members = PointSet(PLANE, cfg.delta, cfg.mu.ix[hit],
+                               cfg.mu.iy[hit])
             values.append(dyadic_content(members, cfg.tau - 1.0).value
                           if len(members) else 0.0)
             if values[-1] > best[0]:
@@ -199,21 +216,21 @@ def test_slicing_witness_matches_loop_over_families(seed, level, has_empty):
 
 def test_tube_cell_members_match_fresh_projection_ranges():
     # the stored per-column F ranges give the members that a fresh
-    # projection_range over the tube cell's angle column gives
+    # projection_range over the tube cell's angle column gives, and one mask
+    # call over all tube cells gives each cell's members in its row
     cfg = build_slicing(0.6, 1.6, 1.3, 2.0 ** -6, seed=7)
     delta = cfg.delta
     fpts = cfg.mu.centers()
-    tube_cells = set(zip(cfg.tubes.ix.tolist(), cfg.tubes.iy.tolist()))
+    tube_cells = sorted(set(zip(cfg.tubes.ix.tolist(), cfg.tubes.iy.tolist())))
     assert len(tube_cells) > 100
-    for c, kcell in sorted(tube_cells):
+    cols, rows = np.array(tube_cells).T
+    hits = tube_cell_members(cfg, cols, rows)
+    assert hits.shape == (len(tube_cells), len(cfg.mu))
+    for (c, kcell), hit in zip(tube_cells, hits):
         lo, hi = projection_range(fpts, c * delta, (c + 1) * delta)
         assert np.array_equal(cfg.f_lo[c], lo)
         assert np.array_equal(cfg.f_hi[c], hi)
-        hit = ((lo <= (kcell + 1) * delta - 2.0 + 2.0 * delta)
-               & (hi >= kcell * delta - 2.0 - 2.0 * delta))
-        members = tube_cell_members(cfg, (c, kcell))
-        assert np.array_equal(members.ix, cfg.mu.ix[hit])
-        assert np.array_equal(members.iy, cfg.mu.iy[hit])
+        assert np.array_equal(hit, fresh_tube_hits(cfg, c, kcell))
 
 
 def direction_cantor_one_cell(counts, rng):
@@ -307,6 +324,32 @@ def test_radial_ray_and_separated_directions():
     # the winner is consistent with its row
     best_rows = [r["covering_min"] for r in rows]
     assert summary["best_covering"] == max(best_rows)
+
+
+def test_radial_check_rows_match_single_viewpoint_calls():
+    # each row's counts are those of one-viewpoint calls on E and on the
+    # seeded half-subsets of E, as Python ints
+    delta = 2.0 ** -6
+    E = generate_cantor_measure(0.8, delta, seed=[8, 0],
+                                window=(-0.75, 0.5, -0.5, 0.5)).support()
+    F = generate_cantor_measure(1.5, delta, seed=[8, 1],
+                                window=(0.75, 1.0, -0.125, 0.125)).support()
+    rows, _ = radial_check(E, F, 0.6, delta, s=0.8, t=1.5, seed=8)
+    subsets = []
+    for j in range(scenarios.RADIAL_SUBSETS):
+        pick = np.sort(np.random.default_rng([8, 202, j])
+                       .choice(len(E), size=len(E) // 2, replace=False))
+        subsets.append(PointSet(PLANE, delta, E.ix[pick], E.iy[pick]))
+    for row in rows:
+        q = (row["q_x"], row["q_y"])
+        full = radial_projection_covering(q, E)
+        assert type(row["covering_full"]) is int
+        assert type(row["covering_min"]) is int
+        assert row["covering_full"] == full
+        assert row["covering_min"] == min(
+            [full] + [radial_projection_covering(q, sub) for sub in subsets])
+    # some subset sees fewer directions than E, so the minimum matters
+    assert any(r["covering_min"] < r["covering_full"] for r in rows)
 
 
 def test_radial_degenerate_rejection():
