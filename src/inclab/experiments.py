@@ -11,7 +11,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy import optimize, sparse
 
 from . import content as ct
 from . import incidence as inc
@@ -311,6 +310,7 @@ def content_cover_lp(P, s):
     Morton order, so the LP optimum equals the best antichain cover and is
     an independent check of the tree DP.
     """
+    from scipy import optimize, sparse
     if len(P) == 0:
         return 0.0
     top = max(0, P.level - ORACLE_LEVELS_UP)

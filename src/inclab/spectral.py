@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .geometry import PLANE, grid_shape
 from .measures import _check_energy_grid
@@ -303,8 +302,9 @@ def _cusp_weight(rows, cols, e):
     if rows.dtype.kind == "i":
         w[0, 0] = half ** (2 * e) / (2 * e + 1) if e > -0.5 else 0.0
     else:
-        val, _ = integrate.quad(lambda t: math.cos(t) ** (-(2 * e + 2)), 0.0,
-                                math.pi / 4.0)
+        from scipy.integrate import quad
+        val, _ = quad(lambda t: math.cos(t) ** (-(2 * e + 2)), 0.0,
+                      math.pi / 4.0)
         w[0, 0] = (8.0 * half ** (2 * e + 2) / (2 * e + 2)) * val / step ** 2
     return w
 

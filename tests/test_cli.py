@@ -263,13 +263,19 @@ def test_command_help_lists_its_flags(capsys):
         assert not shown & (every_flag - set(read))
 
 
-def test_real_argv_rejects_unread_and_abbreviated_flags(tmp_path, capsys):
+def fresh_python(*args, timeout=60):
+    """Run `python *args` in a new interpreter with this checkout's src on
+    its path; returns the completed process, output as text."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-m", "inclab.cli", "content",
-                          "--s", "0.5", "--out", str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_real_argv_rejects_unread_and_abbreviated_flags(tmp_path, capsys):
+    run = fresh_python("-m", "inclab.cli", "content", "--s", "0.5",
+                       "--out", str(tmp_path))
     assert run.returncode == 2
     assert "unrecognized arguments: --s" in run.stderr
     # an abbreviation is not read as the flag it starts
@@ -301,8 +307,12 @@ def test_verify_quick_deterministic(tmp_path):
     out2 = tmp_path / "r2"
     assert cli.main(["verify", "--scale", "quick", "--seed", "3",
                      "--out", str(out1)]) == 0
-    assert cli.main(["verify", "--scale", "quick", "--seed", "3",
-                     "--out", str(out2), "--threads", "2"]) == 0
+    # a new interpreter, so the experiments that first use scipy (smoothing,
+    # energy, content-dp) import it on pool threads started together
+    run = fresh_python("-m", "inclab.cli", "verify", "--scale", "quick",
+                       "--seed", "3", "--out", str(out2), "--threads", "9",
+                       timeout=300)
+    assert run.returncode == 0, run.stderr
     files1 = sorted(p.name for p in out1.iterdir())
     files2 = sorted(p.name for p in out2.iterdir())
     assert files1 == files2
@@ -324,3 +334,48 @@ def test_verify_quick_deterministic(tmp_path):
     for row in rows:
         for key in ("witness_x", "witness_tube"):
             assert re.fullmatch(r"\(\d+, \d+\)", row[key]), row[key]
+
+
+IMPORT_SCOPE = """
+import json, sys
+import numpy as np
+import inclab, inclab.cli
+from inclab.experiments import content_cover_lp
+from inclab.geometry import PLANE
+from inclab.measures import PointSet
+from inclab.spectral import PlanarGrid, sobolev_norm_plane
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+stages = {"import": scipy_modules()}
+out = sys.argv[1]
+assert inclab.cli.main(["slicing", "--deltas", "2^-5", "--out", out]) == 0
+stages["slicing"] = scipy_modules()
+content_cover_lp(PointSet(PLANE, 2.0 ** -5, [40, 41, 90], [41, 41, 7]), 1.0)
+stages["content_lp"] = scipy_modules()
+g = PlanarGrid.from_function(16, lambda X, Y: np.exp(-4.0 * (X * X + Y * Y)))
+sobolev_norm_plane(g, 0.5)
+stages["sobolev"] = scipy_modules()
+print(json.dumps(stages))
+"""
+
+
+def test_import_loads_scipy_only_where_it_is_used(tmp_path):
+    # a new interpreter: the test modules themselves import scipy
+    run = fresh_python("-c", IMPORT_SCOPE, str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    # the last line, after what the slicing command prints
+    stages = json.loads(run.stdout.splitlines()[-1])
+    assert stages["import"] == []
+    assert stages["slicing"] == []
+    lp = set(stages["content_lp"])
+    assert {"scipy.optimize", "scipy.sparse"} <= lp
+    assert "scipy.integrate" not in lp
+    # scipy.integrate itself imports scipy.optimize and scipy.sparse (scipy
+    # 1.17), so the plane norm may add only what that import adds
+    assert "scipy.integrate" in stages["sobolev"]
+    ref = fresh_python("-c", "import sys, scipy.integrate; print(' '.join("
+                       "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert ref.returncode == 0, ref.stderr
+    assert set(stages["sobolev"]) - lp <= set(ref.stdout.split())
