@@ -43,6 +43,95 @@ MAX_TUBE_CELLS = 2 ** 21
 MAX_SLICING_TABLE = 2 ** 21
 
 
+MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence hash constants, and PCG64's 128-bit LCG multiplier
+# as its high and low 64-bit words
+HASH_A, HASH_A_MULT = 0x43B0D7E5, 0x931E8875
+HASH_B, HASH_B_MULT = 0x8B51F9DD, 0x58F38DED
+MIX_L, MIX_R = 0xCA01F9DD, 0x4973F715
+PCG_MULT_HI, PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _seed_words(seed):
+    """numpy's 32-bit entropy words of a seed: the little-endian words of a
+    non-negative int (one zero word for 0), and the words of a sequence's
+    entries in order."""
+    if isinstance(seed, (int, np.integer)):
+        n = int(seed)
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        return [n >> k & MASK32 for k in range(0, max(n.bit_length(), 1), 32)]
+    return [word for part in seed for word in _seed_words(part)]
+
+
+def _hasher(h, mult):
+    """SeedSequence's hash of 32-bit words in uint64 arrays: the word xor h,
+    times the next h, xor its own high half; h advances by mult per call."""
+    def hash32(value):
+        nonlocal h
+        value = value ^ h
+        h = h * mult & MASK32
+        value = value * h & MASK32
+        return value ^ value >> 16
+    return hash32
+
+
+def _seed_state(entropy):
+    """The four uint64 words SeedSequence(entropy).generate_state(4,
+    np.uint64) gives, for every cell at once: entropy is a list of uint64
+    arrays over the cells, one per 32-bit entropy word."""
+    hashmix = _hasher(HASH_A, HASH_A_MULT)
+
+    def mix(x, y):
+        r = (MIX_L * x - MIX_R * y) & MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0 * entropy[0])
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = _hasher(HASH_B, HASH_B_MULT)
+    words = [state(pool[i % 4]) for i in range(8)]
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step state * PCG_MULT + inc on 128-bit (hi, lo) words;
+    the high word of lo * PCG_MULT_LO comes from 32-bit limbs."""
+    a1, a0 = lo >> 32, lo & MASK32
+    b1, b0 = PCG_MULT_LO >> 32, PCG_MULT_LO & MASK32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & MASK32) + (p10 & MASK32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * PCG_MULT_LO + inc_lo
+    new_hi = (hi * PCG_MULT_LO + lo * PCG_MULT_HI + carry + inc_hi
+              + (new_lo < inc_lo))
+    return new_hi, new_lo
+
+
+def _cell_bits(seed, ix, iy, picks):
+    """Bits (cells, picks): row j is default_rng(seed words + [ix[j],
+    iy[j]]).integers(0, 2, size=picks), for all cells at once."""
+    entropy = [np.full(ix.size, w, np.uint64) for w in _seed_words(seed)]
+    s0, s1, s2, s3 = _seed_state(entropy + [ix, iy])
+    # PCG64 seeding: inc = 2 initseq + 1, state = (inc + initstate) M + inc
+    inc_hi, inc_lo = s2 << 1 | s3 >> 63, s3 << 1 | 1
+    lo = inc_lo + s1
+    hi, lo = _pcg_step(inc_hi + s0 + (lo < s1), lo, inc_hi, inc_lo)
+    bits = np.empty((ix.size, picks + picks % 2), np.uint64)
+    for k in range(0, picks, 2):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58  # XSL-RR output
+        out = x >> rot | x << (64 - rot & 63)
+        bits[:, k], bits[:, k + 1] = out >> 31 & 1, out >> 63
+    return bits[:, :picks]
+
+
 def _direction_cantor(counts, seed, keys):
     """Dyadic s-dimensional subsets of [1/4, 3/4), one per cell (ix, iy) of
     `keys`: row j holds the interval center angles of the set of keys[j].
@@ -50,16 +139,22 @@ def _direction_cantor(counts, seed, keys):
     Binary subdivision keeping the per-level child counts `counts` (from
     `_child_count_sequence(s, steps, 2)`, products in [2/3, 2) * 2^(j*s)); the
     surviving level-`steps` intervals have width 2^-(steps+1).  A level that
-    keeps one child of two picks it with one fair bit per interval.  Each
-    cell draws all of its set's bits in one call to its own generator,
-    seeded [seed, ix, iy], which gives the stream that one call per level
-    would give; the levels then run on all sets at once.
+    keeps one child of two picks it with one fair bit per interval.
+
+    Stream contract: a cell's bits, level by level, are those of
+    np.random.default_rng([seed, ix, iy]).integers(0, 2, size=picks), as
+    one call per level would draw them too.  They are computed for every
+    cell at once: SeedSequence's pool and generate_state, PCG64's seeding
+    and XSL-RR output, and the bounded draw for range 2, which is bit 31
+    of each 32-bit half of an output, low half first.  That draw never
+    rejects: its threshold (2^32 - 2) mod 2 is 0.  A grid cell's indices
+    lie in [0, 2^32), so each is one entropy word, as numpy makes it.
     """
     picks = sum(math.prod(counts[:j]) for j, mj in enumerate(counts)
                 if mj == 1)
-    draws = np.array([np.random.default_rng([seed, ix, iy])
-                      .integers(0, 2, size=picks) for ix, iy in keys])
-    lows = np.full((len(keys), 1), 0.25)
+    ix, iy = np.asarray(keys, np.uint64).reshape(-1, 2).T
+    draws = _cell_bits(seed, ix, iy, picks)
+    lows = np.full((ix.size, 1), 0.25)
     width = 0.5
     used = 0
     for mj in counts:

@@ -17,6 +17,7 @@ from inclab import content, experiments, incidence, measures, scenarios, spectra
 from inclab.measures import PointSet
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+import test_acceptance  # noqa: E402
 import test_incidence  # noqa: E402
 import test_measures  # noqa: E402
 import test_scenarios  # noqa: E402
@@ -162,6 +163,29 @@ def test_direction_cantor_keeps_one_child_of_two(monkeypatch):
     mutate(monkeypatch, scenarios, "_direction_cantor",
            "if mj == 2:", "if mj > 2:")
     assert quick_experiment_fails("furstenberg")
+
+
+def test_high_half_first_in_cell_bits(monkeypatch):
+    # criterion 9 does not see this one, quick (seeds 0 and 2026) or desk:
+    # the swapped bits are as fair, so the reference test against numpy's
+    # generators must; the desk digest in golden.json sees it too
+    mutate(monkeypatch, scenarios, "_cell_bits",
+           "bits[:, k], bits[:, k + 1] = out >> 31 & 1, out >> 63",
+           "bits[:, k + 1], bits[:, k] = out >> 31 & 1, out >> 63")
+    with pytest.raises(AssertionError):
+        test_scenarios.test_direction_cantor_rows_equal_one_cell_loop(
+            [1] * 6, 0)
+
+
+def test_unseeded_cell_generators_in_direction_cantor(tmp_path, monkeypatch):
+    # quick exp_furstenberg still passes (seeds 0 and 2026), so only
+    # criterion 12's byte comparison of two verify runs sees this one
+    mutate(monkeypatch, scenarios, "_direction_cantor",
+           "draws = _cell_bits(seed, ix, iy, picks)",
+           "draws = np.array([np.random.default_rng()"
+           ".integers(0, 2, size=picks) for _ in ix])")
+    with pytest.raises(AssertionError, match="FAIL criterion 12"):
+        test_acceptance.test_criterion_12_determinism(tmp_path)
 
 
 def test_slice_slack_of_one_delta_in_tube_cell_members(monkeypatch):

@@ -15,6 +15,8 @@ from inclab.scenarios import (F_WINDOW, _check_families, build_furstenberg,
                               radial_check, slicing_tube_content,
                               tube_cell_members)
 
+from golden import environment
+
 
 def test_furstenberg_densest_case():
     # full-dimensional measure with all directions: family sizes near 1/delta
@@ -247,18 +249,37 @@ def direction_cantor_one_cell(counts, rng):
     return lows + 0.5 * width
 
 
+# picks (fair bits per cell): 6, 0, 18, then 16, 14, 8 and 0 for the
+# child-count sequences, then 1, 3 (the last output's high half unused) and
+# 128 (64 outputs)
 @pytest.mark.parametrize("counts", [
     [1] * 6, [2] * 6, [2, 1, 2, 2, 1, 1, 2],
-    *(_child_count_sequence(s, 7, 2) for s in (0.3, 0.5, 0.8, 1.0))])
-@pytest.mark.parametrize("seed", [0, 3, 2026])
+    *(_child_count_sequence(s, 7, 2) for s in (0.3, 0.5, 0.8, 1.0)),
+    [1, 2, 2, 2, 2, 2], [1, 1, 1, 2, 2], [2] * 6 + [1, 1]])
+# entropy (the seed's words, then ix and iy) of 3 to 5 words: 2^32 + 5 and
+# [2026, 8], the shape exp_furstenberg passes, fill SeedSequence's 4-word
+# pool, and 2^70 + 1 and [[1, 2], 3] run past it
+@pytest.mark.parametrize("seed", [0, 3, 2026, 2 ** 32 + 5, 2 ** 70 + 1,
+                                  [2026, 8], [[1, 2], 3]])
 def test_direction_cantor_rows_equal_one_cell_loop(counts, seed):
-    keys = [(ix, iy) for ix in range(5) for iy in (0, 7, 100)]
+    keys = [(ix, iy) for ix in (0, 1, 4, 2 ** 16 - 1)
+            for iy in (0, 7, 100, 2 ** 16 - 1)]
     rows = scenarios._direction_cantor(counts, seed, keys)
     assert rows.shape == (len(keys), math.prod(counts))
     for row, (ix, iy) in zip(rows, keys):
         one = direction_cantor_one_cell(
             counts, np.random.default_rng([seed, ix, iy]))
-        assert row.tobytes() == one.tobytes()
+        assert row.tobytes() == one.tobytes(), (
+            f"cell ({ix}, {iy}) at seed {seed} differs from the Generator "
+            f"stream of {environment()}")
+
+
+@pytest.mark.parametrize("seed", [-1, [2026, -8]])
+def test_direction_cantor_rejects_negative_seed_like_numpy(seed):
+    with pytest.raises(ValueError):
+        np.random.default_rng([seed, 0, 0])
+    with pytest.raises(ValueError):
+        scenarios._direction_cantor([1] * 3, seed, [(0, 0)])
 
 
 def test_furstenberg_check_names_first_bad_family():
