@@ -19,7 +19,8 @@ k = round(2.0 / delta)
 mu1 = PlanarAtomMeasure(delta, [k], [k], [1.0])        # atom at the origin
 nu1 = LineParamMeasure(delta, [round(0.5 / delta)], [k], [1.0])  # line through it
 print(f"  incidence mass: {incidences(mu1, nu1, 0.05)}")
-print(f"  angular-average upper bound: {lemma4_upper_bound(mu1, nu1, 0.05):.3f}")
+bound, = lemma4_upper_bound([(mu1, nu1, 0.05)])  # one bound per fixture
+print(f"  angular-average upper bound: {bound:.3f}")
 
 print("\n== ratio sweep for a dimension-1.5 pair ==")
 mu = generate_cantor_measure(1.5, 2.0 ** -9, seed=1)

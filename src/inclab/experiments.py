@@ -17,8 +17,8 @@ from . import incidence as inc
 from . import measures as ms
 from . import scenarios as sc
 from . import spectral as sp
-from .geometry import (LINESPACE, PLANE, grid_shape, level_for_resolution,
-                       side_at_level)
+from .geometry import (LINESPACE, PLANE, _cell_codes, grid_shape,
+                       level_for_resolution, side_at_level)
 
 DESK_DELTAS = [2.0 ** -k for k in range(5, 10)]
 
@@ -201,10 +201,8 @@ def exp_energy(seed=0, s_values=(0.5, 1.0, 1.5),
 def exp_lemma4(seed=0, n_fixtures=1000):
     """Random fixtures: the angular-average bound must dominate incidences."""
     rng = np.random.default_rng([seed, 4])
-    rows = []
-    violations = 0
-    worst = math.inf
-    for k in range(n_fixtures):
+    fixtures = []
+    for _ in range(n_fixtures):
         delta = float(2.0 ** -rng.integers(4, 8))
         n_mu = int(rng.integers(4, 14))
         n_nu = int(rng.integers(4, 14))
@@ -220,7 +218,12 @@ def exp_lemma4(seed=0, n_fixtures=1000):
             delta, rng.integers(ncol // 4, 3 * ncol // 4, n_nu),
             rng.integers(nrow // 4, 3 * nrow // 4, n_nu),
             rng.uniform(0.1, 1.0, n_nu))
-        bound = inc.lemma4_upper_bound(mu, nu, delta)
+        fixtures.append((mu, nu, delta))
+    rows = []
+    violations = 0
+    worst = math.inf
+    bounds = inc.lemma4_upper_bound(fixtures)
+    for k, ((mu, nu, delta), bound) in enumerate(zip(fixtures, bounds)):
         value = inc.incidences(mu, nu, delta)
         ok = bound * LEMMA4_SAFETY >= value
         if value > 0:
@@ -310,32 +313,43 @@ def content_cover_lp(P, s):
     Morton order, so the LP optimum equals the best antichain cover and is
     an independent check of the tree DP.
     """
-    from scipy import optimize, sparse
+    from scipy import optimize
     if len(P) == 0:
         return 0.0
-    top = max(0, P.level - ORACLE_LEVELS_UP)
-    leaves = list(zip(P.ix.tolist(), P.iy.tolist()))
-    nodes = {}
-    for a, b in leaves:
-        for lev in range(P.level, top - 1, -1):
-            shift = P.level - lev
-            nodes.setdefault((lev, a >> shift, b >> shift), len(nodes))
-    costs = np.empty(len(nodes))
-    for (lev, _, _), idx in nodes.items():
-        costs[idx] = side_at_level(P.root, lev) ** s
-    rows_i, cols_j = [], []
-    for li, (a, b) in enumerate(leaves):
-        for lev in range(P.level, top - 1, -1):
-            shift = P.level - lev
-            rows_i.append(li)
-            cols_j.append(nodes[(lev, a >> shift, b >> shift)])
-    A = sparse.csr_matrix((np.ones(len(rows_i)), (rows_i, cols_j)),
-                          shape=(len(leaves), len(nodes)))
-    res = optimize.linprog(costs, A_ub=-A, b_ub=-np.ones(len(leaves)),
+    A, costs = _cover_lp_system(P, s)
+    res = optimize.linprog(costs, A_ub=-A, b_ub=-np.ones(len(P)),
                            bounds=(0, 1), method="highs")
     if not res.success:
         raise RuntimeError(f"cover LP failed: {res.message}")
     return float(res.fun)
+
+
+def _cover_lp_system(P, s):
+    """The cover LP's (leaves x nodes) leaf-ancestor matrix and node costs.
+
+    Row i marks the ancestors of leaf i from its own level up to
+    ORACLE_LEVELS_UP levels above it, or to level 0.  Nodes are numbered in
+    order of first appearance, leaf by leaf and finest level first, and a
+    node at level lev costs side_at_level(P.root, lev) ** s.
+    """
+    from scipy import sparse
+    ups = min(P.level, ORACLE_LEVELS_UP) + 1  # levels, the leaves' own first
+    # one code per (leaf, level): the ancestor's cell code, kept apart from
+    # the other levels' codes by its level
+    codes = np.column_stack([_cell_codes(P.root, P.level, P.ix, P.iy, up) * ups + up
+                             for up in range(ups)])
+    _, first, inverse = np.unique(codes.ravel(), return_index=True,
+                                  return_inverse=True)
+    node = np.empty(first.size, dtype=np.int64)
+    node[np.argsort(first)] = np.arange(first.size)
+    level_costs = np.array([side_at_level(P.root, P.level - up) ** s
+                            for up in range(ups)])
+    costs = np.empty(first.size)
+    costs[node] = level_costs[first % ups]
+    A = sparse.csr_matrix((np.ones(codes.size),
+                           (np.repeat(np.arange(len(P)), ups), node[inverse])),
+                          shape=(len(P), first.size))
+    return A, costs
 
 
 def enumerate_cover_min(P, s):

@@ -31,8 +31,9 @@ SWEEP_GROWTH_MAX = 4.0  # largest ratio, as a multiple of the coarsest one
 
 MAJORANT_SAMPLES = 257  # angles sampled across each 6 delta window
 MAJORANT_BISECTIONS = 45  # bisection steps per sampled crossing
-# lemma4_upper_bound measures its lines in blocks of about this many
-# sampled (line, point, angle) entries, which bounds its temporaries
+# lemma4_upper_bound samples its lines in blocks of about this many
+# (line, point, angle) entries, and bisects its crossings in groups of about
+# this many, which bounds its temporaries
 MAJORANT_BLOCK = 2 ** 16
 
 
@@ -87,87 +88,116 @@ def incidences(mu, nu, delta):
     return math.fsum(float(v[k]) * float(sums[k]) for k in range(len(v)))
 
 
-def _interval_measure(thetas, rs, pts, delta):
+def _interval_measures(blocks):
     """Lebesgue measure of {theta : |(theta, proj_theta(p)) - (thetas[k], rs[k])| <= 3 delta}
-    for each line k and each point p, as a (lines, points) array, resolved
-    by dense sampling plus vectorized bisection.
+    for each line k and each point p of each block (thetas, rs, pts, delta),
+    yielded as one (lines, points) array per block, in block order, and
+    resolved by dense sampling plus vectorized bisection.
 
-    One pass serves every line: the sampled windows are one (lines, points,
-    angles) test, and one bisection loop runs on every crossing of every
-    line.  Each step is elementwise and each (line, point) adds its
-    segments in angle order, so every row equals a one-line call bit for
-    bit.  Roots are located to ~3 delta * 2^-45; inside-intervals narrower
-    than the sampling step (6 delta / 256) arise only at tangencies of the
-    3 delta ball and can be missed, which only lowers the returned measure.
+    Each block's sampled windows are one (lines, points, angles) test, of
+    which only the crossing brackets and each line's window ends are kept.
+    Brackets wait until MAJORANT_BLOCK of them are pending, or the blocks
+    run out; one bisection loop then runs on all of them, each crossing with
+    its own point, line, offset and delta.  Each step is elementwise and
+    each (line, point) adds its segments in angle order, so every row equals
+    a one-line call bit for bit.  Roots are located to ~3 delta * 2^-45;
+    inside-intervals narrower than the sampling step (6 delta / 256) arise
+    only at tangencies of the 3 delta ball and can be missed, which only
+    lowers the returned measure.
     """
-    lines, n = len(thetas), pts.shape[0]
-    ts = thetas[:, None] + 3.0 * delta * np.linspace(-1.0, 1.0, MAJORANT_SAMPLES)
-    inside = _inside(ts[:, None, :], pts[:, None, :], thetas[:, None, None],
-                     rs[:, None, None], delta)
+    pending, size = [], 0
+    for thetas, rs, pts, delta in blocks:
+        ts = thetas[:, None] + 3.0 * delta * np.linspace(-1.0, 1.0, MAJORANT_SAMPLES)
+        inside = _inside(ts[:, None, :], pts[:, None, :], thetas[:, None, None],
+                         rs[:, None, None], delta)
+        # crossings in (line, point, angle) order
+        li, pi, ki = np.nonzero(inside[..., 1:] != inside[..., :-1])
+        pending.append(((thetas, rs, pts, delta), ts[:, [0, -1]], li, pi,
+                        ts[li, ki], ts[li, ki + 1]))
+        size += li.size
+        if size >= MAJORANT_BLOCK:
+            yield from _bisected_measures(pending)
+            pending, size = [], 0
+    yield from _bisected_measures(pending)
 
-    # crossings in (line, point, angle) order
-    li, pi, ki = np.nonzero(inside[..., 1:] != inside[..., :-1])
-    lo, hi = ts[li, ki], ts[li, ki + 1]
-    crossing = (pts[pi], thetas[li], rs[li], delta)
+
+def _bisected_measures(pending):
+    """Bisect the crossings of the pending blocks in one loop, then yield
+    each block's (lines, points) measures."""
+    if not pending:
+        return
+    parts = [(lo, hi, pts[pi], thetas[li], rs[li], np.full(li.size, delta))
+             for (thetas, rs, pts, delta), _, li, pi, lo, hi in pending]
+    lo, hi, *crossing = map(np.concatenate, zip(*parts))
     lo_in = _inside(lo, *crossing)
     for _ in range(MAJORANT_BISECTIONS):
         mid = 0.5 * (lo + hi)
         same = _inside(mid, *crossing) == lo_in
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
-    roots = 0.5 * (lo + hi)
+    roots = np.split(0.5 * (lo + hi), np.cumsum([p[2].size for p in pending])[:-1])
 
-    # each (line, point)'s segments run between its line's sample ends and
-    # its roots; add the lengths of those whose midpoint is inside, in
-    # angle order
-    counts = np.bincount(li * n + pi, minlength=lines * n)
-    first = np.cumsum(counts) - counts
-    left = np.insert(roots, first, np.repeat(ts[:, 0], n))
-    right = np.insert(roots, first + counts, np.repeat(ts[:, -1], n))
-    owner = np.repeat(np.arange(lines * n), counts + 1)
-    line, point = np.divmod(owner, n)
-    keep = _inside(0.5 * (left + right), pts[point], thetas[line], rs[line],
-                   delta)
-    return np.bincount(owner[keep], weights=(right - left)[keep],
-                       minlength=lines * n).reshape(lines, n)
+    # each (line, point)'s segments run between its line's window ends and
+    # its roots; add the lengths of those whose midpoint is inside, in angle
+    # order
+    for ((thetas, rs, pts, delta), ends, li, pi, _, _), r in zip(pending, roots):
+        lines, n = len(thetas), pts.shape[0]
+        counts = np.bincount(li * n + pi, minlength=lines * n)
+        first = np.cumsum(counts) - counts
+        left = np.insert(r, first, np.repeat(ends[:, 0], n))
+        right = np.insert(r, first + counts, np.repeat(ends[:, 1], n))
+        owner = np.repeat(np.arange(lines * n), counts + 1)
+        line, point = np.divmod(owner, n)
+        keep = _inside(0.5 * (left + right), pts[point], thetas[line],
+                       rs[line], delta)
+        yield np.bincount(owner[keep], weights=(right - left)[keep],
+                          minlength=lines * n).reshape(lines, n)
 
 
 def _inside(ts, pts, theta0, r0, delta):
     """Whether (t, proj_t(p)) lies in the 3 delta ball around (theta0, r0);
-    ts, theta0 and r0 broadcast against the points pts of shape (..., 2)."""
-    return (ts - theta0) ** 2 + (project(pts, ts) - r0) ** 2 <= 9.0 * delta ** 2
+    ts, theta0, r0 and delta broadcast against the points pts of shape
+    (..., 2).  The radius is squared as a product, which gives a delta
+    array's entries the bits that each delta alone gets."""
+    return (ts - theta0) ** 2 + (project(pts, ts) - r0) ** 2 <= 9.0 * (delta * delta)
 
 
-def lemma4_upper_bound(mu, nu, delta):
-    """Angular-average majorant of the incidence count.
+def lemma4_upper_bound(fixtures):
+    """Angular-average majorants of the incidence counts of a sequence of
+    (mu, nu, delta) fixtures, one bound per fixture.
 
     For each atom pair, measures the set of angles theta at which the point
     (theta, proj_theta(p)) falls in the 3*delta ball around the line
     parameter q, and aggregates delta^-1 * sum w_p v_q * measure.  This
-    dominates the incidence count.  Lines go to `_interval_measure` in
-    blocks of about MAJORANT_BLOCK samples (a whole fixture of the
-    acceptance experiment is one block); each line's np.dot and the running
-    total keep line order, so the sum is that of a loop over single lines.
-    delta must be finite and positive, and tube angles must keep a delta
-    margin from the seam.
+    dominates the incidence count.  Each fixture's lines go to
+    `_interval_measures` in blocks of about MAJORANT_BLOCK samples (a whole
+    fixture of the acceptance experiment is one block), and one bisection
+    serves the crossings of many blocks and fixtures; each line's np.dot
+    and its fixture's running total keep line order, so each bound is that
+    of a loop over the fixture's single lines.  Every delta must be finite
+    and positive, and tube angles must keep a delta margin from the seam;
+    every fixture is checked before any is measured.
     """
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be finite and positive")
-    if len(nu) == 0:
-        return 0.0
-    thetas, rs = nu.centers().T
-    if thetas.min() < delta or thetas.max() > 1.0 - delta:
-        raise ValueError("theta margin violated: tube angles within delta of the seam")
-    pts = mu.centers()
-    w = mu.weights
-    per_block = max(1, MAJORANT_BLOCK // (MAJORANT_SAMPLES * max(len(pts), 1)))
-    total = 0.0
-    for a in range(0, len(thetas), per_block):
-        block = slice(a, a + per_block)
-        meas = _interval_measure(thetas[block], rs[block], pts, delta)
-        for v, m in zip(nu.weights[block], meas):
-            total += float(v) * float(np.dot(w, m))
-    return total / delta
+    fixtures = list(fixtures)
+    blocks = []  # (fixture, its lines in the block, the block), in line order
+    for f, (mu, nu, delta) in enumerate(fixtures):
+        if not (math.isfinite(delta) and delta > 0):
+            raise ValueError("delta must be finite and positive")
+        thetas, rs = nu.centers().T
+        if len(nu) and (thetas.min() < delta or thetas.max() > 1.0 - delta):
+            raise ValueError("theta margin violated: tube angles within delta of the seam")
+        pts = mu.centers()
+        per_block = max(1, MAJORANT_BLOCK // (MAJORANT_SAMPLES * max(len(pts), 1)))
+        for a in range(0, len(thetas), per_block):
+            b = slice(a, a + per_block)
+            blocks.append((f, b, (thetas[b], rs[b], pts, delta)))
+    totals = [0.0] * len(fixtures)
+    measures = _interval_measures(block for _, _, block in blocks)
+    for (f, b, _), meas in zip(blocks, measures):
+        mu, nu, _ = fixtures[f]
+        for v, m in zip(nu.weights[b], meas):
+            totals[f] += float(v) * float(np.dot(mu.weights, m))
+    return [total / delta for total, (_, _, delta) in zip(totals, fixtures)]
 
 
 def fit_slope(inv_deltas, values):

@@ -3,15 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize, sparse
 
 from inclab import content
 from inclab.content import (ContentResult, CoverError, dyadic_content,
                             extract_katz_tao_subset, multiscale_cover,
                             smallest_delta_s_constant,
                             smallest_katz_tao_constant)
-from inclab.experiments import (content_cover_lp, enumerate_cover_min,
+from inclab.experiments import (ORACLE_LEVELS_UP, _cover_lp_system,
+                                content_cover_lp, enumerate_cover_min,
                                 exp_content)
 from inclab.geometry import (LINESPACE, PLANE, _cell_codes, grid_shape,
                              level_for_resolution, side_at_level)
@@ -178,6 +180,55 @@ def test_content_against_lp_oracle(data):
     dp = dyadic_content(P, s, max_levels_up=4)
     lp = content_cover_lp(P, s)
     assert dp.value == pytest.approx(lp, rel=1e-6, abs=1e-9)
+
+
+def cover_lp_by_dicts(P, s):
+    """The cover LP's matrix and costs as two dict loops built them: nodes
+    numbered by first appearance, leaf by leaf, finest level first."""
+    top = max(0, P.level - ORACLE_LEVELS_UP)
+    leaves = list(zip(P.ix.tolist(), P.iy.tolist()))
+    nodes = {}
+    for a, b in leaves:
+        for lev in range(P.level, top - 1, -1):
+            shift = P.level - lev
+            nodes.setdefault((lev, a >> shift, b >> shift), len(nodes))
+    costs = np.empty(len(nodes))
+    for (lev, _, _), idx in nodes.items():
+        costs[idx] = side_at_level(P.root, lev) ** s
+    rows_i, cols_j = [], []
+    for li, (a, b) in enumerate(leaves):
+        for lev in range(P.level, top - 1, -1):
+            shift = P.level - lev
+            rows_i.append(li)
+            cols_j.append(nodes[(lev, a >> shift, b >> shift)])
+    A = sparse.csr_matrix((np.ones(len(rows_i)), (rows_i, cols_j)),
+                          shape=(len(leaves), len(nodes)))
+    return A, costs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([PLANE, LINESPACE]), st.integers(0, 8),
+       st.integers(1, 200), st.integers(0, 2 ** 32 - 1), st.floats(0.4, 2.0))
+@example(LINESPACE, 2, 30, 0, 1.0)
+@example(PLANE, 0, 5, 1, 0.7)
+def test_cover_lp_system_equals_dict_construction(root, k, n, seed, s):
+    # up to 200 cells at resolutions 1 to 2^-8, so that some sets, such as
+    # the two examples, sit fewer than ORACLE_LEVELS_UP levels below the
+    # root; the matrix, the costs and the LP optimum are those of the
+    # dict-built system, bit for bit
+    nx, ny = grid_shape(root, level_for_resolution(root, 2.0 ** -k))
+    rng = np.random.default_rng(seed)
+    P = PointSet(root, 2.0 ** -k, rng.integers(0, nx, n), rng.integers(0, ny, n))
+    A, costs = _cover_lp_system(P, s)
+    want_A, want_costs = cover_lp_by_dicts(P, s)
+    assert A.shape == want_A.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(A, name), getattr(want_A, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert costs.tobytes() == want_costs.tobytes()
+    want = optimize.linprog(want_costs, A_ub=-want_A, b_ub=-np.ones(len(P)),
+                            bounds=(0, 1), method="highs").fun
+    assert content_cover_lp(P, s) == want
 
 
 def test_katz_tao_constant_examples():

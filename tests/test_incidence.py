@@ -111,7 +111,7 @@ def test_lemma4_point_at_origin():
     delta = 0.01
     mu = origin_atom(2.0 ** -12)  # cell center within 4e-4 of the origin
     nu = line_atom(2.0 ** -12, 0.5, 0.0)
-    bound = lemma4_upper_bound(mu, nu, delta)
+    bound, = lemma4_upper_bound([(mu, nu, delta)])
     assert bound == pytest.approx(6.0, rel=1e-3)
     assert bound >= incidences(mu, nu, delta)
 
@@ -146,69 +146,123 @@ def interval_measure_one_line(theta0, r0, pts, delta):
     return np.bincount(owner[keep], weights=(right - left)[keep], minlength=n)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_interval_measure_rows_equal_one_line_loop(data):
-    # up to 13 points in [-1, 1]^2, at times one at the origin, and up to 13
-    # lines of four kinds: anywhere; far from every point, so no crossing;
-    # through the origin; and near-tangent to a point's projection curve at
-    # its peak, where the inside interval can be narrower than a sample step
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    delta = data.draw(st.sampled_from([2.0 ** -k for k in range(3, 8)]))
-    n = data.draw(st.integers(0, 13))
-    pts = rng.uniform(-1.0, 1.0, (n, 2))
-    if n and data.draw(st.booleans()):
-        pts[0] = 0.0
-    kinds = ["any", "far", "origin"] + (["tangent"] if n else [])
-    thetas, rs = [], []
-    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1,
-                                   max_size=13)):
+def line_kinds(rng, kinds, pts, delta, far):
+    """(thetas, rs) arrays of one line per entry of `kinds`: anywhere;
+    offset `far`, so no crossing; through the origin; and near-tangent to a
+    point's projection curve at its peak, where the inside interval can be
+    narrower than a sample step.  Angles keep a delta margin from the seam."""
+    lines = []
+    for kind in kinds:
         theta, r = rng.uniform(0.25, 0.75), rng.uniform(-1.0, 1.0)
         if kind == "far":
-            r = 5.0
+            r = far
         elif kind == "origin":
             r = 0.0
         elif kind == "tangent":
-            x, y = pts[rng.integers(n)]
+            x, y = pts[rng.integers(len(pts))]
             theta = math.atan2(y, x) / (2.0 * math.pi) % 1.0
             gap = 1.0 - 10.0 ** -float(rng.integers(2, 13))
             r = math.hypot(x, y) + rng.choice([-3.0, 3.0]) * delta * gap
-        thetas.append(theta)
-        rs.append(r)
-    thetas, rs = np.array(thetas), np.array(rs)
-    batched = incidence._interval_measure(thetas, rs, pts, delta)
-    assert batched.shape == (len(thetas), n)
-    for k in range(len(thetas)):
-        one = interval_measure_one_line(float(thetas[k]), float(rs[k]), pts,
-                                        delta)
-        assert batched[k].tobytes() == one.tobytes()
+            if not delta <= theta <= 1.0 - delta:
+                theta, r = (theta + 0.5) % 1.0, -r  # the same line
+        lines.append((theta, r))
+    return np.array(lines).reshape(-1, 2).T
 
 
-@pytest.mark.parametrize("block", [incidence.MAJORANT_BLOCK, 1])
-def test_lemma4_equals_one_line_loop(block, monkeypatch):
-    # 13 points and 13 lines are one block by default; with blocks of one
-    # line each, or one block, the bound is the loop's over single lines
-    rng = np.random.default_rng(5)
-    mu = PlanarAtomMeasure(2.0 ** -7, rng.integers(224, 288, 13),
-                           rng.integers(224, 288, 13), rng.uniform(0.1, 1, 13))
-    nu = LineParamMeasure(2.0 ** -7, rng.integers(32, 96, 13),
-                          rng.integers(224, 288, 13), rng.uniform(0.1, 1, 13))
-    delta = 2.0 ** -4
-    monkeypatch.setattr(incidence, "MAJORANT_BLOCK", block)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_interval_measure_rows_equal_one_line_loop(data):
+    # one to three blocks, each with its own delta, up to 13 points in
+    # [-1, 1]^2, at times one at the origin, and up to 13 lines of the four
+    # `line_kinds`; the blocks' crossings share one bisection
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        delta = data.draw(st.sampled_from([2.0 ** -k for k in range(3, 8)]))
+        n = data.draw(st.integers(0, 13))
+        pts = rng.uniform(-1.0, 1.0, (n, 2))
+        if n and data.draw(st.booleans()):
+            pts[0] = 0.0
+        kinds = ["any", "far", "origin"] + (["tangent"] if n else [])
+        thetas, rs = line_kinds(
+            rng, data.draw(st.lists(st.sampled_from(kinds), min_size=1,
+                                    max_size=13)), pts, delta, 5.0)
+        blocks.append((thetas, rs, pts, delta))
+    measures = list(incidence._interval_measures(blocks))
+    assert len(measures) == len(blocks)
+    for (thetas, rs, pts, delta), batched in zip(blocks, measures):
+        assert batched.shape == (len(thetas), len(pts))
+        for k in range(len(thetas)):
+            one = interval_measure_one_line(float(thetas[k]), float(rs[k]),
+                                            pts, delta)
+            assert batched[k].tobytes() == one.tobytes()
+
+
+def lemma4_one_line_loop(mu, nu, delta):
+    """A fixture's majorant as a loop over its single lines computed it."""
     total = 0.0
     for v, (theta, r) in zip(nu.weights, nu.centers()):
         meas = interval_measure_one_line(float(theta), float(r), mu.centers(),
                                          delta)
         total += float(v) * float(np.dot(mu.weights, meas))
-    assert total > 0
-    assert lemma4_upper_bound(mu, nu, delta) == total / delta
+    return total / delta
+
+
+def random_fixtures(seed):
+    """A fixed 13-atom, 13-line fixture at delta 2^-4, then up to four more,
+    with an empty nu after the first at times.  The drawn fixtures take delta
+    from 2^-4 to 2^-7 and up to 13 atoms and lines of the four `line_kinds`,
+    at resolution 2^-20, so near-tangent lines stay near their tangency."""
+    rng = np.random.default_rng(5)
+    fixtures = [(
+        PlanarAtomMeasure(2.0 ** -7, rng.integers(224, 288, 13),
+                          rng.integers(224, 288, 13), rng.uniform(0.1, 1, 13)),
+        LineParamMeasure(2.0 ** -7, rng.integers(32, 96, 13),
+                         rng.integers(224, 288, 13), rng.uniform(0.1, 1, 13)),
+        2.0 ** -4)]
+    rng = np.random.default_rng(seed)
+    res = 2.0 ** -20
+    for _ in range(rng.integers(0, 5)):
+        delta = 2.0 ** -float(rng.integers(4, 8))
+        n = int(rng.integers(1, 14))
+        pts = rng.uniform(-1.0, 1.0, (n, 2))
+        mu = PlanarAtomMeasure(res, *np.floor((pts + 2.0) / res).T.astype(int),
+                               rng.uniform(0.1, 1.0, n))
+        kinds = rng.choice(["any", "far", "origin", "tangent"],
+                           rng.integers(1, 14))
+        thetas, rs = line_kinds(rng, kinds, mu.centers(), delta, 1.9)
+        nu = LineParamMeasure(res, np.floor(thetas / res).astype(int),
+                              np.floor((rs + 2.0) / res).astype(int),
+                              rng.uniform(0.1, 1.0, len(kinds)))
+        fixtures.append((mu, nu, delta))
+    if rng.integers(2):
+        fixtures.insert(1, (fixtures[0][0], LineParamMeasure(res, [], [], []),
+                            2.0 ** -6))
+    return fixtures
+
+
+@pytest.mark.parametrize("block", [incidence.MAJORANT_BLOCK, 1])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+@example(3)
+def test_lemma4_equals_one_line_loop(block, seed):
+    # the fixtures are one bisection group by default; with blocks of one
+    # line each, every block with a crossing is a group of its own.  Either
+    # way each bound is its fixture's loop over single lines
+    fixtures = random_fixtures(seed)
+    want = [lemma4_one_line_loop(*fixture) for fixture in fixtures]
+    assert want[0] > 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(incidence, "MAJORANT_BLOCK", block)
+        got = lemma4_upper_bound(fixtures)
+    assert got == want
 
 
 def test_lemma4_far_pair_zero():
     delta = 0.01
     mu = origin_atom(2.0 ** -7)
     nu = line_atom(2.0 ** -7, 0.5, 1.5)
-    assert lemma4_upper_bound(mu, nu, delta) == 0.0
+    assert lemma4_upper_bound([(mu, nu, delta)]) == [0.0]
     assert incidences(mu, nu, delta) == 0.0
 
 
@@ -223,7 +277,7 @@ def test_lemma4_dominates_on_random_fixtures(seed):
                            rng.integers(192, 320, n), rng.uniform(0.1, 1, n))
     nu = LineParamMeasure(2.0 ** -7, rng.integers(32, 96, m),
                           rng.integers(128, 384, m), rng.uniform(0.1, 1, m))
-    bound = lemma4_upper_bound(mu, nu, delta)
+    bound, = lemma4_upper_bound([(mu, nu, delta)])
     inc = incidences(mu, nu, delta)
     assert bound * 1.01 >= inc
 
@@ -231,18 +285,25 @@ def test_lemma4_dominates_on_random_fixtures(seed):
 def test_lemma4_empty_tubes_zero():
     mu = origin_atom(2.0 ** -7)
     nu = LineParamMeasure(2.0 ** -7, [], [], [])
-    assert lemma4_upper_bound(mu, nu, 0.01) == incidences(mu, nu, 0.01) == 0.0
+    assert lemma4_upper_bound([(mu, nu, 0.01)]) == [0.0]
+    assert incidences(mu, nu, 0.01) == 0.0
+    assert lemma4_upper_bound([]) == []
 
 
-def test_lemma4_theta_margin():
+def test_lemma4_theta_margin(monkeypatch):
+    # a bad fixture anywhere in the sequence stops the call before any
+    # fixture is measured
+    def no_work(*args):
+        raise AssertionError("a fixture was measured")
+
+    monkeypatch.setattr(incidence, "_inside", no_work)
     mu = origin_atom(2.0 ** -7)
-    nu = line_atom(2.0 ** -7, 0.001, 0.0)
+    good = (mu, line_atom(2.0 ** -7, 0.5, 0.0), 0.01)
     with pytest.raises(ValueError, match="theta margin"):
-        lemma4_upper_bound(mu, nu, 0.01)
-    nu = line_atom(2.0 ** -7, 0.5, 0.0)
+        lemma4_upper_bound([good, (mu, line_atom(2.0 ** -7, 0.001, 0.0), 0.01)])
     for delta in (math.nan, math.inf, 0.0, -0.01):
         with pytest.raises(ValueError, match="finite and positive"):
-            lemma4_upper_bound(mu, nu, delta)
+            lemma4_upper_bound([good, good[:2] + (delta,), good])
 
 
 def test_sweep_far_atoms_all_zero():

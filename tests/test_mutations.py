@@ -18,6 +18,7 @@ from inclab.measures import PointSet
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import test_acceptance  # noqa: E402
+import test_content  # noqa: E402
 import test_incidence  # noqa: E402
 import test_measures  # noqa: E402
 import test_scenarios  # noqa: E402
@@ -126,17 +127,29 @@ def test_cylinder_origin_bin_takes_the_square_rule(monkeypatch):
 
 def test_every_line_measured_against_the_first_in_the_majorant(monkeypatch):
     mutate(monkeypatch, incidence, "lemma4_upper_bound",
-           "_interval_measure(thetas[block], rs[block], pts, delta)",
-           "_interval_measure(np.full(len(thetas[block]), thetas[0]), "
-           "np.full(len(rs[block]), rs[0]), pts, delta)")
+           "(thetas[b], rs[b], pts, delta)",
+           "(np.full(len(thetas[b]), thetas[0]), "
+           "np.full(len(rs[b]), rs[0]), pts, delta)")
     assert quick_experiment_fails("tube-average-bound")
+
+
+def test_every_crossing_bisected_with_the_first_delta_in_the_majorant(
+        monkeypatch):
+    # criterion 4's rule does not see this one, quick (seeds 0 and 2026) or
+    # desk: a crossing bisected in another fixture's ball moves its root by
+    # less than a sample step (desk worst margin 1.387 to 1.383), so the
+    # one-fixture loops must; the desk digest in golden.json sees it too
+    mutate(monkeypatch, incidence, "_bisected_measures",
+           "np.full(li.size, delta)", "np.full(li.size, pending[0][0][3])")
+    with pytest.raises(AssertionError):
+        test_incidence.test_lemma4_equals_one_line_loop(incidence.MAJORANT_BLOCK)
 
 
 def test_two_delta_ball_in_the_majorant(monkeypatch):
     # quick criterion 4 does not see this one (its worst margin falls from
     # 2.98 to 1.51, with no violation), so the origin atom's closed form must
     mutate(monkeypatch, incidence, "_inside",
-           "9.0 * delta ** 2", "4.0 * delta ** 2")
+           "9.0 * (delta * delta)", "4.0 * (delta * delta)")
     with pytest.raises(AssertionError):
         test_incidence.test_lemma4_point_at_origin()
 
@@ -157,6 +170,18 @@ def test_cover_square_doubled_in_dyadic_content(monkeypatch):
 
     monkeypatch.setattr(content, "dyadic_content", doubled)
     assert quick_experiment_fails("content-dp")
+
+
+def test_cover_lp_nodes_numbered_in_code_order(monkeypatch):
+    # the LP optimum is the same cover either way, so criterion 7's rule
+    # (quick, seeds 0 and 2026) and the DP-against-LP property do not see
+    # this one, though the desk digest in golden.json does; the dict-built
+    # system, column for column, must
+    mutate(monkeypatch, experiments, "_cover_lp_system",
+           "node[np.argsort(first)] = np.arange(first.size)",
+           "node[:] = np.arange(first.size)")
+    with pytest.raises(AssertionError):
+        test_content.test_cover_lp_system_equals_dict_construction()
 
 
 def test_direction_cantor_keeps_one_child_of_two(monkeypatch):
