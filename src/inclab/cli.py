@@ -25,6 +25,8 @@ from .measures import PointSet
 
 FORMATS = ("csv", "json", "both")
 MAX_GRID_N = 512  # the desk grid side; transforms cost O(n^3)
+# each delta is one more pass of a command's work; the desk lists have 5
+MAX_DELTAS = 16
 
 
 def _parse_deltas(text):
@@ -44,6 +46,9 @@ def _parse_deltas(text):
             raise bad from None
     if not out or not all(math.isfinite(d) and d > 0 for d in out):
         raise bad
+    if len(out) > MAX_DELTAS:
+        raise argparse.ArgumentTypeError(
+            f"{len(out)} deltas, above MAX_DELTAS = {MAX_DELTAS}")
     return tuple(out)
 
 

@@ -49,6 +49,11 @@ def incidences(mu, nu, delta):
     depends only on the number of hits, so the hits are counted and each
     count's sum is taken once.  The result equals testing every pair, bit
     for bit.  Requires a finite delta >= both resolutions.
+
+    The band sort need not be stable: the searchsorted bounds depend only
+    on the sorted projections, atoms with tied projections sit together, so
+    they are all inside a line's candidate range or all outside it, the hit
+    test is elementwise, and the weighted sum takes its hits in atom order.
     """
     if not math.isfinite(delta):
         raise ValueError("delta must be finite")
@@ -70,7 +75,7 @@ def incidences(mu, nu, delta):
     slack = 2.0 * math.pi * maxnorm * delta
     for b in np.unique(bands[order]):
         proj0 = project(pts, (b + 0.5) * delta)
-        rank = np.argsort(proj0, kind="stable")
+        rank = np.argsort(proj0)
         sorted_proj = proj0[rank]
         sx, sy = pts[rank, 0], pts[rank, 1]
         lines = order[bands[order] == b]

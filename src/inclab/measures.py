@@ -225,37 +225,10 @@ def frostman_constant(m, s):
                for level, _, masses, _, _ in _dyadic_levels(m, m.weights))
 
 
-def _pair_energy_direct(pts, w, s, truncs):
-    """Blocked double sums of w_i w_j max(|x_i-x_j|, trunc)^-s (diagonal
-    included), one per trunc in `truncs`, from one distance pass.
-
-    Per row slice the kernel starts at the finest truncation; each coarser
-    one overwrites in place only the entries below it, since its mask holds
-    every finer one, so every entry carries the bits of a fresh evaluation.
-    Kernel rows are built 256 at a time, so no array exceeds 256 x n (5.3 MB
-    at n = 2592).  A row's weighted sum k @ w does not depend on the slice
-    it sits in, and the outer sums keep their 2048-row blocks, so the
-    energies have the bits of whole-block products.
-    """
-    n = pts.shape[0]
-    ladder = sorted(set(truncs))
-    kw = np.empty((len(ladder), n))  # kw[i, r] = sum_j k_i(x_r, x_j) w_j
-    for a in range(0, n, 256):
-        pa = pts[a:a + 256]
-        d = np.hypot(pa[:, 0:1] - pts[None, :, 0], pa[:, 1:2] - pts[None, :, 1])
-        k = np.maximum(d, ladder[0]) ** -s
-        for i, trunc in enumerate(ladder):
-            near = d < trunc
-            k[near] = np.maximum(d[near], trunc) ** -s
-            kw[i, a:a + 256] = k @ w
-    energy = {trunc: math.fsum(np.dot(w[a:a + 2048], row[a:a + 2048])
-                               for a in range(0, n, 2048))
-              for trunc, row in zip(ladder, kw)}
-    return [energy[trunc] for trunc in truncs]
-
-
-# the largest energy grids a test, demo, desk or bench run builds have 2^20
-# cells: exp_energy's Fourier grid at 2^-8, exp_incidence_sweep's 512 x 2048
+# the largest energy grids a demo, desk or bench run builds have 2^20 cells:
+# exp_energy's Fourier grid at 2^-8, exp_incidence_sweep's 512 x 2048; an
+# exit-2 test fills a 1,503 x 2,046 displacement table before its Fourier
+# grid is refused
 MAX_ENERGY_GRID = 2 ** 22
 
 
@@ -265,29 +238,88 @@ def _check_energy_grid(nx, ny):
                          f"above MAX_ENERGY_GRID = {MAX_ENERGY_GRID}")
 
 
+def _box_offsets(m):
+    """Atom cells relative to the corner of the measure's bounding box, and
+    the box's cell counts (nx, ny)."""
+    ix = m.ix - m.ix.min()
+    iy = m.iy - m.iy.min()
+    nx, ny = int(ix.max()) + 1, int(iy.max()) + 1
+    return ix, iy, nx, ny
+
+
+def _truncation_ladder(k, dist, s, ladder):
+    """Yield k as the kernel max(dist, trunc)^-s for each trunc of the
+    increasing `ladder`; on entry k holds the kernel at ladder[0].
+
+    Each coarser truncation overwrites in place only the entries below it,
+    since its mask holds every finer one, so every entry carries the bits
+    of a fresh evaluation.
+    """
+    yield k
+    for trunc in ladder[1:]:
+        near = dist < trunc
+        k[near] = np.maximum(dist[near], trunc) ** -s
+        yield k
+
+
+def _pair_energy_direct(m, s, truncs):
+    """Blocked double sums of w_i w_j max(|x_i-x_j|, trunc)^-s (diagonal
+    included), one per trunc in `truncs`.
+
+    Atom centers x0 + (i + 0.5) * resolution are exact dyadics, so a pair's
+    distance is hypot(|di|, |dj|) * resolution on the lattice displacement
+    (di, dj), bit for bit.  The distances and the finest kernel are built
+    once per displacement of the bounding box; kernel rows are gathered 256
+    at a time, so no pair array exceeds 256 x n, and `_truncation_ladder`
+    turns them into the coarser kernels.  A row's weighted sum k @ w does
+    not depend on the slice it sits in, and the outer sums keep their
+    2048-row blocks, so the energies have the bits of whole-block products.
+    """
+    ix, iy, nx, ny = _box_offsets(m)
+    _check_energy_grid(nx, ny)
+    d = m.resolution
+    dist = np.hypot(d * np.arange(nx)[:, None], d * np.arange(ny)).ravel()
+    ladder = sorted(set(truncs))
+    kernel = np.maximum(dist, ladder[0]) ** -s
+    w, n = m.weights, len(m)
+    kw = np.empty((len(ladder), n))  # kw[i, r] = sum_j k_i(x_r, x_j) w_j
+    for a in range(0, n, 256):
+        at = np.abs(ix[a:a + 256, None] - ix) * ny
+        at += np.abs(iy[a:a + 256, None] - iy)
+        rungs = _truncation_ladder(kernel.take(at), dist.take(at), s, ladder)
+        for i, k in enumerate(rungs):
+            kw[i, a:a + 256] = k @ w
+    energy = {trunc: math.fsum(np.dot(w[a:a + 2048], row[a:a + 2048])
+                               for a in range(0, n, 2048))
+              for trunc, row in zip(ladder, kw)}
+    return [energy[trunc] for trunc in truncs]
+
+
 def _pair_energy_fft(m, s, truncs):
     """Same double sums via autocorrelation of the weight grid.
 
     Atoms sit on a lattice of pitch `resolution`, so the displacement
     histogram C(v) = sum_{x_j - x_i = v} w_i w_j is an FFT autocorrelation of
     the (bounding-box cropped) weight grid; the energy is sum_v C(v) K(|v|).
-    C and |v| do not depend on the truncation, so they are computed once.
+    C and |v| do not depend on the truncation, so they are computed once,
+    and `_truncation_ladder` gives each truncation's kernel.
     """
-    d = m.resolution
-    ix = m.ix - m.ix.min()
-    iy = m.iy - m.iy.min()
-    nx, ny = int(ix.max()) + 1, int(iy.max()) + 1
+    ix, iy, nx, ny = _box_offsets(m)
     px, py = 2 * nx, 2 * ny
     _check_energy_grid(px, py)
     grid = np.zeros((nx, ny))
     grid[ix, iy] = m.weights
-    spec = np.fft.rfft2(grid, s=(px, py))
-    corr = np.fft.irfft2(np.abs(spec) ** 2, s=(px, py))
+    power = np.abs(np.fft.rfft2(grid, s=(px, py))) ** 2
+    corr = np.fft.irfft2(power, s=(px, py))
+    del grid, power  # kept out of the ladder's peak
     fx = np.fft.fftfreq(px, 1.0 / px)  # signed displacements
     fy = np.fft.fftfreq(py, 1.0 / py)
-    dist = d * np.hypot(fx[:, None], fy[None, :])
-    return [float(np.sum(corr * np.maximum(dist, trunc) ** -s))
-            for trunc in truncs]
+    dist = m.resolution * np.hypot(fx[:, None], fy[None, :])
+    ladder = sorted(set(truncs))
+    kernel = np.maximum(dist, ladder[0]) ** -s
+    energy = {trunc: float(np.sum(corr * k)) for trunc, k in
+              zip(ladder, _truncation_ladder(kernel, dist, s, ladder))}
+    return [energy[trunc] for trunc in truncs]
 
 
 def riesz_energy_direct(m, s, trunc=None):
@@ -296,9 +328,10 @@ def riesz_energy_direct(m, s, trunc=None):
     Sums w_i w_j max(|x_i - x_j|, trunc)^-s over all ordered atom pairs,
     diagonal included; `trunc` defaults to the measure resolution.  A
     sequence of truncations gives a list of energies, one per entry, from
-    one pass over the pair distances.  Above a size threshold the sum is
-    evaluated by FFT autocorrelation (identical value up to roundoff;
-    cross-checked in the test suite).
+    one pass over the pairs.  Up to 3,000 atoms the pair kernel is read
+    from a table over the lattice displacements of the bounding box; above
+    that the sum is evaluated by FFT autocorrelation (identical value up to
+    roundoff; cross-checked in the test suite).
     """
     if not (0.0 < s < 2.0):
         raise ValueError("exponent s must lie in (0, 2)")
@@ -312,7 +345,7 @@ def riesz_energy_direct(m, s, trunc=None):
     if not all(0.0 < x < math.inf for x in truncs):
         raise ValueError("truncation must be positive and finite")
     if len(m) <= 3000:
-        energies = _pair_energy_direct(m.centers(), m.weights, s, truncs)
+        energies = _pair_energy_direct(m, s, truncs)
     else:
         energies = _pair_energy_fft(m, s, truncs)
     return energies[0] if np.ndim(trunc) == 0 else energies

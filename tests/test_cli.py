@@ -134,9 +134,19 @@ def test_invalid_parameter_exit_2(tmp_path, tmp_path_factory, capsys):
                           # the pair energy's padded bounding-box grid
                           (["energy", "--s", "0.5", "--deltas", "2^-28"],
                            "MAX_ENERGY_GRID"),
-                          # the Fourier energy's 16,384^2 grid
+                          # the direct pair energy's table of displacements
+                          # over a 128-atom measure's bounding box (the
+                          # Fourier energy's 16,384^2 grid would come next)
                           (["energy", "--s", "0.5", "--deltas", "2^-12"],
-                           "MAX_ENERGY_GRID")):
+                           "3006 x 4091 cells, above MAX_ENERGY_GRID"),
+                          # the Fourier energy's 8,192^2 grid
+                          (["energy", "--s", "0.5", "--deltas", "2^-11"],
+                           "8192 x 8192 cells, above MAX_ENERGY_GRID"),
+                          # each delta is one more pass of the work
+                          (["incidence-sweep", "--deltas",
+                            ",".join(["2^-5"] * 17)],
+                           "argument --deltas: 17 deltas, above "
+                           "MAX_DELTAS = 16")):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
     # a flag the command never reads exits 2 naming it, before any work

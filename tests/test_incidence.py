@@ -51,13 +51,50 @@ def test_incidence_far_line():
     assert incidences(mu, nu, 0.1) == 0.0
 
 
-@settings(max_examples=60, deadline=None)
+# Band centers (b + 1/2) * delta at exactly 1/4, 1/2 and 3/4, one delta per
+# odd 2b + 1 that lands there in floating point, within [2^-7, 2^-3].  There
+# e_theta is (0, 1), (-1, 0) or (0, -1) up to a cross term of 2e-16, so an
+# atom and its mirror image across the line along e_theta (x -> -x at 1/4
+# and 3/4, y -> -y at 1/2) project to the same double whenever the cross
+# term is below half an ulp of the main one.
+TIE_DELTAS = {c: [2 * c / k for k in range(1, 400, 2)
+                  if 2.0 ** -7 <= 2 * c / k <= 2.0 ** -3
+                  and ((k - 1) // 2 + 0.5) * (2 * c / k) == c]
+              for c in (0.25, 0.5, 0.75)}
+
+
+def mirrored_ties(rng, mu, nu, center, delta):
+    """mu's atoms with their mirror images at the band center `center`, an
+    anchor pair whose projections there tie, and nu's lines with as many
+    more in the band of that center, all at resolution 2^-7."""
+    anchor = (294, 268) if center == 0.5 else (268, 294)  # (0.30, 0.10)
+    ix, iy = np.append(mu.ix, anchor[0]), np.append(mu.iy, anchor[1])
+    mx, my = (ix, 511 - iy) if center == 0.5 else (511 - ix, iy)
+    w = rng.uniform(0.01, 1.0, 2 * ix.size)
+    mu = PlanarAtomMeasure(mu.resolution, np.concatenate([ix, mx]),
+                           np.concatenate([iy, my]), w)
+    band = round(center / delta - 0.5)
+    cols = [c for c in range(128)
+            if math.floor((c + 0.5) * 2.0 ** -7 / delta) == band]
+    lines = rng.choice(cols, len(nu))
+    nu = LineParamMeasure(nu.resolution, np.append(nu.ix, lines),
+                          np.append(nu.iy, rng.integers(128, 384, len(nu))),
+                          np.append(nu.weights, rng.uniform(0.01, 1.0, len(nu))))
+    proj = project(mu.centers(), center)
+    assert np.unique(proj).size < len(mu)  # the fixture holds ties
+    return mu, nu
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_incidence_brute_equals_bucketed_exactly(data):
     # up to 1000 atoms near the origin and 1000 tubes with angles in
     # [1/4, 3/4) and offsets in [-1, 1), all at resolution 2^-7; the drawn
     # seed places them, so few cells repeat and the candidate sets are large.
-    # mu's weights are random, or all equal so that incidences counts hits
+    # At times the atoms come in mirrored pairs whose projections tie at one
+    # band center, with as many more lines in that band, so the band sort
+    # meets many ties.  mu's weights are random, or all equal so that
+    # incidences counts hits
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
 
     def atoms(x_range, y_range):
@@ -66,13 +103,18 @@ def test_incidence_brute_equals_bucketed_exactly(data):
                 rng.uniform(0.01, 1.0, size))
 
     mu = PlanarAtomMeasure(2.0 ** -7, *atoms((200, 312), (200, 312)))
-    if data.draw(st.booleans()):
-        mu = PlanarAtomMeasure(mu.resolution, mu.ix, mu.iy,
-                               np.full(len(mu), mu.weights[0]))
     nu = LineParamMeasure(2.0 ** -7, *atoms((32, 96), (128, 384)))
     deltas = st.one_of(st.sampled_from([2.0 ** -k for k in range(3, 8)]),
                        st.floats(2.0 ** -7, 2.0 ** -3))
-    for d in data.draw(st.lists(deltas, min_size=1, max_size=3)):
+    ds = data.draw(st.lists(deltas, min_size=1, max_size=3))
+    center = data.draw(st.sampled_from([None, 0.25, 0.5, 0.75]))
+    if center is not None:
+        ds.append(data.draw(st.sampled_from(TIE_DELTAS[center])))
+        mu, nu = mirrored_ties(rng, mu, nu, center, ds[-1])
+    if data.draw(st.booleans()):
+        mu = PlanarAtomMeasure(mu.resolution, mu.ix, mu.iy,
+                               np.full(len(mu), mu.weights[0]))
+    for d in ds:
         assert incidences(mu, nu, d) == brute_incidences(mu, nu, d)
 
 

@@ -99,28 +99,20 @@ def test_energy_uniform_matches_monte_carlo():
     assert abs(val - mc) / mc < 0.05
 
 
-def test_energy_fft_matches_blocked_sum():
-    for seed, root in ((1, "plane"), (2, "line")):
-        rng = np.random.default_rng(seed)
-        n = 2500
-        if root == "plane":
-            m = PlanarAtomMeasure(2.0 ** -7, rng.integers(100, 400, n),
-                                  rng.integers(100, 400, n),
-                                  rng.uniform(0.1, 1.0, n))
-        else:
-            m = LineParamMeasure(2.0 ** -7, rng.integers(0, 128, n),
-                                 rng.integers(100, 400, n),
-                                 rng.uniform(0.1, 1.0, n))
-        truncs = [m.resolution, 2.0 ** -4]
-        for s in (0.5, 1.3):
-            for a, b in zip(_pair_energy_direct(m.centers(), m.weights, s,
-                                                truncs),
-                            _pair_energy_fft(m, s, truncs)):
-                assert abs(a - b) / a < 1e-10
+def lattice_measure(rng, root, level, n):
+    """n distinct random cells of the root box at `level`, with random
+    weights summing to one."""
+    nx, ny = grid_shape(root, level)
+    codes = rng.choice(nx * ny, n, replace=False)
+    w = rng.uniform(0.01, 1.0, n)
+    measure = PlanarAtomMeasure if root == PLANE else LineParamMeasure
+    return measure(side_at_level(root, level), codes // ny, codes % ny,
+                   w / w.sum())
 
 
 def whole_block_energies(pts, w, s, truncs):
-    """Reference: each 2048-row kernel block built whole, then k @ w."""
+    """Reference: each 2048-row kernel block built whole from per-pair
+    distances, then k @ w."""
     n = pts.shape[0]
     sums = {trunc: [] for trunc in truncs}
     for a in range(0, n, 2048):
@@ -132,18 +124,41 @@ def whole_block_energies(pts, w, s, truncs):
     return [math.fsum(sums[trunc]) for trunc in truncs]
 
 
+def test_energy_fft_matches_blocked_sum():
+    for seed, root in ((1, PLANE), (2, LINESPACE)):
+        m = lattice_measure(np.random.default_rng(seed), root, 7, 2500)
+        truncs = [m.resolution, 2.0 ** -4]
+        for s in (0.5, 1.3):
+            direct = _pair_energy_direct(m, s, truncs)
+            assert direct == whole_block_energies(m.centers(), m.weights, s,
+                                                  truncs)
+            for a, b in zip(direct, _pair_energy_fft(m, s, truncs)):
+                assert abs(a - b) / a < 1e-10
+
+
 @pytest.mark.parametrize("n", [1, 7, 255, 257, 1943, 2049, 2301])
 def test_energy_row_slices_match_whole_block_products(n):
-    # kernel rows are built 256 at a time; the energies must keep the bits
-    # of whole 2048-row blocks, which the pinned bench and desk outputs hold
+    # kernel rows are gathered 256 at a time from one table per lattice
+    # displacement; the energies must keep the bits of whole 2048-row
+    # blocks of per-pair distances, which the pinned bench and desk
+    # outputs hold
     rng = np.random.default_rng(n)
-    pts = rng.random((n, 2))
-    w = rng.random(n)
-    w /= w.sum()
     truncs = [2.0 ** -k for k in range(5, 10)]
-    for s in (0.3, 1.0, 1.7):
-        assert _pair_energy_direct(pts, w, s, truncs) == whole_block_energies(
-            pts, w, s, truncs)
+    for root in (PLANE, LINESPACE):
+        m = lattice_measure(rng, root, 7, n)
+        for s in (0.3, 1.0, 1.7):
+            assert _pair_energy_direct(m, s, truncs) == whole_block_energies(
+                m.centers(), m.weights, s, truncs)
+
+
+def test_sparse_energy_box_is_bounded():
+    # two atoms in opposite corners of the plane box at 2^-12: the direct
+    # sum's table of 16,384^2 displacements is refused before it exists
+    m = PlanarAtomMeasure(2.0 ** -12, [0, 2 ** 14 - 1], [0, 2 ** 14 - 1],
+                          [1.0, 1.0])
+    with pytest.raises(ValueError, match="16384 x 16384 cells, above "
+                                         "MAX_ENERGY_GRID"):
+        riesz_energy_direct(m, 1.0)
 
 
 @pytest.mark.parametrize("trunc", [

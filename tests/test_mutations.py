@@ -78,10 +78,37 @@ def test_hit_count_times_weight_in_incidences(monkeypatch):
 
 
 def test_coarser_truncations_reuse_the_finest_energy_kernel(monkeypatch):
-    mutate(monkeypatch, measures, "_pair_energy_direct",
-           "k[near] = np.maximum(d[near], trunc) ** -s", "pass")
+    # criteria 5 and 6 do not see this one, quick (seeds 0 and 2026): the
+    # sweep slope rises to 0.002 and the energy ratios stay in [1.04, 1.68];
+    # the direct and FFT pair energies share the ladder, so one call per
+    # truncation against one call for the list must
+    mutate(monkeypatch, measures, "_truncation_ladder",
+           "k[near] = np.maximum(dist[near], trunc) ** -s", "pass")
     with pytest.raises(AssertionError):
         test_measures.test_energy_truncation_sequence_matches_single_calls()
+
+
+def test_signed_row_displacement_in_the_pair_energy(monkeypatch):
+    # a negative displacement index wraps silently to another table entry;
+    # criteria 5 and 6 do not see it, quick (seeds 0 and 2026): the energy
+    # ratios move to [1.15, 2.39], inside [0.25, 4], so the per-pair
+    # reference must; the quick verify digests in golden.json see it too
+    mutate(monkeypatch, measures, "_pair_energy_direct",
+           "at += np.abs(iy[a:a + 256, None] - iy)",
+           "at += iy[a:a + 256, None] - iy")
+    with pytest.raises(AssertionError):
+        test_measures.test_energy_row_slices_match_whole_block_products(257)
+
+
+def test_first_occupied_row_left_out_of_the_fourier_energy(monkeypatch):
+    # criterion 6 does not see this one, quick (seeds 0 and 2026): the
+    # energy ratios move to [0.98, 1.66], so the fft2 property must; the
+    # quick verify digests in golden.json see it too
+    mutate(monkeypatch, spectral, "_power_spectrum",
+           "spec[rows] = np.fft.fft(part, axis=1)",
+           "spec[rows[1:]] = np.fft.fft(part[1:], axis=1)")
+    with pytest.raises(AssertionError):
+        test_spectral.test_power_spectrum_of_occupied_rows_equals_fft2()
 
 
 def test_xray_angles_shifted_by_one_row(monkeypatch):

@@ -460,6 +460,39 @@ def test_riesz_fourier_vs_direct_band():
             assert 0.25 <= ratio <= 4.0
 
 
+@st.composite
+def sparse_plane_measures(draw):
+    """A planar measure on a grid of side 4 to 128 whose atoms fill 1 to 9
+    rows (at most every row), 1 to 4 atoms per row, with random weights."""
+    n = 2 ** draw(st.integers(2, 7))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                         max_size=min(n, 9), unique=True))
+    ix, iy = [], []
+    for r in rows:
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4,
+                             unique=True))
+        ix += [r] * len(cols)
+        iy += cols
+    w = draw(st.lists(st.floats(0.01, 10.0), min_size=len(ix),
+                      max_size=len(ix)))
+    return PlanarAtomMeasure(4.0 / n, ix, iy, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_plane_measures())
+@example(PlanarAtomMeasure(0.25, [3], [5], [1.0]))
+@example(PlanarAtomMeasure(0.125, [0, 7, 31], [2, 2, 30], [0.5, 1.5, 3.0]))
+@example(PlanarAtomMeasure(0.25, range(16), range(16), np.arange(1.0, 17.0)))
+def test_power_spectrum_of_occupied_rows_equals_fft2(m):
+    # odd and even row counts, up to every row: only the occupied rows are
+    # transformed, and |.|^2 must keep fft2's bits
+    n = round(4.0 / m.resolution)
+    grid = np.zeros((n, n))
+    grid[m.ix, m.iy] = m.weights
+    expect = np.abs(np.fft.fft2(grid)) ** 2
+    assert spectral._power_spectrum(m, n).tobytes() == expect.tobytes()
+
+
 def test_riesz_fourier_weight_scaling():
     m = generate_cantor_measure(1.2, 2.0 ** -6, seed=12)
     a = riesz_energy_fourier(m.scaled(2.5), 1.0)
