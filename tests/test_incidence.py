@@ -67,7 +67,8 @@ def mirrored_ties(rng, mu, nu, center, delta):
     """mu's atoms with their mirror images at the band center `center`, an
     anchor pair whose projections there tie, and nu's lines with as many
     more in the band of that center, all at resolution 2^-7."""
-    anchor = (294, 268) if center == 0.5 else (268, 294)  # (0.30, 0.10)
+    # the anchor atom sits at (0.30, 0.10), or at (0.10, 0.30)
+    anchor = (294, 268) if center == 0.5 else (268, 294)
     ix, iy = np.append(mu.ix, anchor[0]), np.append(mu.iy, anchor[1])
     mx, my = (ix, 511 - iy) if center == 0.5 else (511 - ix, iy)
     w = rng.uniform(0.01, 1.0, 2 * ix.size)
