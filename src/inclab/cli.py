@@ -17,6 +17,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import content as ct
 from . import experiments as ex
 from . import measures as ms
@@ -97,7 +99,6 @@ def _content_fixture_rows():
     k = 6
     delta = 2.0 ** -k
     ix0 = round(2.0 / delta)
-    import numpy as np
     row_set = PointSet(PLANE, delta, np.arange(ix0, ix0 + 2 ** k),
                        np.full(2 ** k, ix0))
     full = ms.generate_cantor_measure(2.0, delta, seed=0,

@@ -7,18 +7,20 @@ halfwidth delta around the line with parameters q, that is when
 |geometry.project(p, theta_q) - r_q| <= delta.  Atoms are identified with
 their cell centers; the delta >= resolution precondition makes the
 center-versus-cell discrepancy a sub-delta perturbation.  There is one
-counting path: angle bands prune the candidate atoms of each line, one hit
-test marks the candidates in the line's tube, and one of two reductions
-turns the hits into the line's mass: the sum of their weights in atom
-order, or, when mu's weights are all equal, their count, which fixes that
-same sum.
+counting path, and it is exact because rounding is monotone: for a fixed
+offset r, the rounded difference fl(p - r) never decreases as the
+projection p grows, so a line's hits are one run of its direction's sorted
+projections.  Each direction's projections are sorted once, a binary search
+finds each line's run at every delta, and one of two reductions turns the
+run into the line's mass: the sum of its weights in atom order, or, when
+mu's weights are all equal, its length, which fixes that same sum.
 """
 
 import math
 
 import numpy as np
 
-from .geometry import direction, project
+from .geometry import project
 from .measures import riesz_energy_direct
 
 # Angle margin required of the line measure in the sweep.  A tube angle
@@ -28,6 +30,10 @@ SWEEP_DELTA_MAX = 0.25 / 7.0
 
 SWEEP_SLOPE_MAX = 0.1  # largest log-log slope of the ratio against 1/delta
 SWEEP_GROWTH_MAX = 4.0  # largest ratio, as a multiple of the coarsest one
+
+# incidences sorts the atom projections of blocks of directions of about
+# this many (direction, atom) entries, which bounds its temporaries
+INCIDENCE_BLOCK = 2 ** 18
 
 MAJORANT_SAMPLES = 257  # angles sampled across each 6 delta window
 MAJORANT_BISECTIONS = 45  # bisection steps per sampled crossing
@@ -40,57 +46,88 @@ MAJORANT_BLOCK = 2 ** 16
 def incidences(mu, nu, delta):
     """Weighted incidence mass between mu-atoms and nu-tubes at width delta.
 
-    Lines are bucketed into angle bands of width delta; within a band the
-    atoms are sorted by their projection at the band center, and each line
-    takes as candidates the atoms whose projection there lies within delta
-    plus the band's angular slack of its offset.  One hit test per line
-    marks the candidates in its tube; the line's mass is the np.sum, in
-    atom order, of their weights.  When mu's weights are all equal that sum
-    depends only on the number of hits, so the hits are counted and each
-    count's sum is taken once.  The result equals testing every pair, bit
-    for bit.  Requires a finite delta >= both resolutions.
-
-    The band sort need not be stable: the searchsorted bounds depend only
-    on the sorted projections, atoms with tied projections sit together, so
-    they are all inside a line's candidate range or all outside it, the hit
-    test is elementwise, and the weighted sum takes its hits in atom order.
+    A scalar delta gives a float, a sequence a list with one mass per entry.
+    The brute test for atom p and line (theta, r) is abs(fl(p_theta - r))
+    <= delta with p_theta = project(p, theta).  For fixed r, fl(p_theta - r)
+    is non-decreasing in p_theta, so a line's hits are one run of its
+    direction's sorted projections, ties included: from the first entry
+    with fl(p_theta - r) >= -delta to the last with fl(p_theta - r) <=
+    delta.  The lines are grouped by exact angle, each direction's
+    projections are sorted once, and one binary search finds both ends of
+    every line's run at every delta.  A line's mass is the np.sum of its
+    run's weights in atom order; when mu's weights are all equal it depends
+    only on the run's length, so each length's sum is taken once.  The
+    lines' masses are added with math.fsum, so the result equals testing
+    every pair, bit for bit.  Every delta must be finite and at least both
+    resolutions; all are checked before any work.  The sort need not be
+    stable: tied atoms are all in a run or all outside it.
     """
-    if not math.isfinite(delta):
+    deltas = [float(d) for d in np.atleast_1d(delta)]
+    if not deltas:
+        raise ValueError("no delta given")
+    if not all(math.isfinite(d) for d in deltas):
         raise ValueError("delta must be finite")
-    if delta < max(mu.resolution, nu.resolution):
+    if min(deltas) < max(mu.resolution, nu.resolution):
         raise ValueError("delta must be at least the atom resolutions")
-    if len(mu) == 0 or len(nu) == 0:
-        return 0.0
+    masses = ([0.0] * len(deltas) if len(mu) == 0 or len(nu) == 0
+              else _incidence_masses(mu, nu, np.array(deltas)[:, None]))
+    return masses[0] if np.ndim(delta) == 0 else masses
 
+
+def _incidence_masses(mu, nu, deltas):
+    """`incidences` of nonempty mu and nu, one per row of the (deltas, 1)
+    array `deltas`."""
     pts = mu.centers()
     w = mu.weights
     uniform = bool(np.all(w == w[0]))
     thetas, rs = nu.centers().T
-    v = nu.weights
+    angles, line_dir = np.unique(thetas, return_inverse=True)
 
-    sums = np.empty(len(thetas))  # hit counts when mu is uniform
-    maxnorm = float(np.abs(pts).max()) * math.sqrt(2.0) + 1e-12
-    bands = np.floor(thetas / delta).astype(np.int64)
-    order = np.argsort(bands, kind="stable")
-    slack = 2.0 * math.pi * maxnorm * delta
-    for b in np.unique(bands[order]):
-        proj0 = project(pts, (b + 0.5) * delta)
-        rank = np.argsort(proj0)
-        sorted_proj = proj0[rank]
-        sx, sy = pts[rank, 0], pts[rank, 1]
-        lines = order[bands[order] == b]
-        los = np.searchsorted(sorted_proj, rs[lines] - delta - slack)
-        his = np.searchsorted(sorted_proj, rs[lines] + delta + slack)
-        for k, lo, hi, c, s in zip(lines, los, his, *direction(thetas[lines])):
-            hit = np.abs(sx[lo:hi] * c + sy[lo:hi] * s - rs[k]) <= delta
-            sums[k] = (np.count_nonzero(hit) if uniform
-                       else np.sum(w[np.sort(rank[lo:hi][hit])]))
+    sums = np.empty((len(deltas), len(thetas)))  # run lengths if mu is uniform
+    per_block = max(1, INCIDENCE_BLOCK // len(pts))
+    for a in range(0, len(angles), per_block):
+        lines = np.flatnonzero((line_dir >= a) & (line_dir < a + per_block))
+        rows = line_dir[lines] - a
+        proj = project(pts, angles[a:a + per_block, None])
+        if uniform:
+            proj.sort(axis=1)
+            lo, hi = _hit_runs(proj, rows, rs[lines], deltas)
+            sums[:, lines] = hi - lo
+            continue
+        rank = np.argsort(proj, axis=1)
+        lo, hi = _hit_runs(np.take_along_axis(proj, rank, axis=1), rows,
+                           rs[lines], deltas)
+        for j, i in np.ndindex(lo.shape):
+            run = rank[rows[i], lo[j, i]:hi[j, i]]
+            sums[j, lines[i]] = np.sum(w[np.sort(run)])
     if uniform:
         # np.sum of c equal weights, as the weighted reduction would sum them
         counts, inverse = np.unique(sums, return_inverse=True)
-        sums = np.array([np.sum(np.full(int(c), w[0])) for c in counts])[inverse]
+        sums = np.array([np.sum(np.full(int(c), w[0]))
+                         for c in counts])[inverse].reshape(sums.shape)
+    return [math.fsum((nu.weights * row).tolist()) for row in sums]
 
-    return math.fsum(float(v[k]) * float(sums[k]) for k in range(len(v)))
+
+def _hit_runs(proj, rows, rs, deltas):
+    """(lo, hi) run ends, as (deltas, lines) arrays, of each line in its row
+    of the sorted projections: lo counts the entries p of the row with
+    fl(p - r) < -delta, hi those with fl(p - r) <= delta.  Both sets are
+    prefixes of the row, so a branchless binary search finds their lengths:
+    each step moves an end by the step while the entry before it is inside."""
+    n = proj.shape[1]
+    flat = proj.ravel()
+    last = rows * n - 1  # entry k - 1 of a line's row is flat[last + k]
+    lo = np.zeros((len(deltas), len(rs)), dtype=np.int64)
+    hi = np.zeros_like(lo)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        at_lo, at_hi = lo + step, hi + step
+        p_lo = flat[last + np.minimum(at_lo, n)]
+        p_hi = flat[last + np.minimum(at_hi, n)]
+        lo = np.where((at_lo <= n) & (p_lo - rs < -deltas), at_lo, lo)
+        hi = np.where((at_hi <= n) & (p_hi - rs <= deltas), at_hi, hi)
+        step >>= 1
+    return lo, hi
 
 
 def _interval_measures(blocks):
@@ -251,8 +288,7 @@ def inequality_sweep(mu, nu, t, deltas):
     emus = riesz_energy_direct(mu, 3.0 - t, trunc=deltas)
     enus = riesz_energy_direct(nu, t, trunc=deltas)
     rows = []
-    for d, emu, enu in zip(deltas, emus, enus):
-        inc = incidences(mu, nu, d)
+    for d, inc, emu, enu in zip(deltas, incidences(mu, nu, deltas), emus, enus):
         denom = d * math.sqrt(emu * enu)
         rows.append({
             "delta": d,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from inclab import incidence
+from inclab import experiments, incidence
 from inclab.experiments import _auto_window
 from inclab.geometry import LINESPACE, PLANE, project
 from inclab.incidence import (SWEEP_DELTA_MAX, fit_slope, incidences,
@@ -51,39 +51,51 @@ def test_incidence_far_line():
     assert incidences(mu, nu, 0.1) == 0.0
 
 
-# Band centers (b + 1/2) * delta at exactly 1/4, 1/2 and 3/4, one delta per
-# odd 2b + 1 that lands there in floating point, within [2^-7, 2^-3].  There
-# e_theta is (0, 1), (-1, 0) or (0, -1) up to a cross term of 2e-16, so an
-# atom and its mirror image across the line along e_theta (x -> -x at 1/4
-# and 3/4, y -> -y at 1/2) project to the same double whenever the cross
-# term is below half an ulp of the main one.
-TIE_DELTAS = {c: [2 * c / k for k in range(1, 400, 2)
-                  if 2.0 ** -7 <= 2 * c / k <= 2.0 ** -3
-                  and ((k - 1) // 2 + 0.5) * (2 * c / k) == c]
-              for c in (0.25, 0.5, 0.75)}
-
-
-def mirrored_ties(rng, mu, nu, center, delta):
-    """mu's atoms with their mirror images at the band center `center`, an
-    anchor pair whose projections there tie, and nu's lines with as many
-    more in the band of that center, all at resolution 2^-7."""
-    # the anchor atom sits at (0.30, 0.10), or at (0.10, 0.30)
-    anchor = (294, 268) if center == 0.5 else (268, 294)
-    ix, iy = np.append(mu.ix, anchor[0]), np.append(mu.iy, anchor[1])
-    mx, my = (ix, 511 - iy) if center == 0.5 else (511 - ix, iy)
-    w = rng.uniform(0.01, 1.0, 2 * ix.size)
-    mu = PlanarAtomMeasure(mu.resolution, np.concatenate([ix, mx]),
-                           np.concatenate([iy, my]), w)
-    band = round(center / delta - 0.5)
-    cols = [c for c in range(128)
-            if math.floor((c + 0.5) * 2.0 ** -7 / delta) == band]
-    lines = rng.choice(cols, len(nu))
-    nu = LineParamMeasure(nu.resolution, np.append(nu.ix, lines),
-                          np.append(nu.iy, rng.integers(128, 384, len(nu))),
-                          np.append(nu.weights, rng.uniform(0.01, 1.0, len(nu))))
-    proj = project(mu.centers(), center)
+def quarter_turn_rows(rng, mu):
+    """mu with tied atoms added on the two columns beside x = 0, at 2^-7
+    resolution, and lines at theta = 1/4, the angle of the first column of
+    a line-parameter grid at resolution 1/2.  There e_theta is (6e-17, 1),
+    so an atom at x = +-2^-8 projects to its y exactly (the cross term is
+    below half an ulp of y, save in the rows at y = +-2^-8, where it
+    crosses a binade and which are left out), and the two atoms of each
+    added row tie."""
+    rows = rng.choice(np.r_[200:255, 257:312], rng.integers(1, 40))
+    ix = np.concatenate([mu.ix, np.full(rows.size, 255),
+                         np.full(rows.size, 256)])
+    mu = PlanarAtomMeasure(mu.resolution, ix,
+                           np.concatenate([mu.iy, rows, rows]),
+                           rng.uniform(0.01, 1.0, ix.size))
+    size = rng.integers(1, 20)
+    nu = LineParamMeasure(0.5, np.zeros(size, dtype=int),
+                          rng.integers(0, 8, size), rng.uniform(0.01, 1.0, size))
+    proj = project(mu.centers(), 0.25)
     assert np.unique(proj).size < len(mu)  # the fixture holds ties
-    return mu, nu
+    x, y = np.abs(mu.centers()).T
+    column = (x == 2.0 ** -8) & (y > 2.0 ** -8)
+    assert np.array_equal(proj[column], mu.centers()[column, 1])
+    return mu, nu, column
+
+
+def edge_deltas(rng, mu, nu, atoms):
+    """Deltas that put a pair exactly on its tube's edge: one with
+    fl(p - r) = -delta and one with fl(p - r) = +delta, each of a randomly
+    chosen pair of a line and one of the `atoms` (a mask of mu's atoms) with
+    delta between both resolutions and 2, where such a pair exists."""
+    thetas, rs = nu.centers().T
+    diff = project(mu.centers(), thetas[:, None]) - rs[:, None]
+    low = max(mu.resolution, nu.resolution)
+    deltas = []
+    for side in (diff < 0, diff > 0):
+        line, atom = np.nonzero(side & atoms & (np.abs(diff) >= low)
+                                & (np.abs(diff) <= 2.0))
+        if line.size:
+            k = rng.integers(line.size)
+            # the brute test's own scalar projection sits on the edge
+            p = mu.centers()[atom[k]]
+            edge = project(p, thetas[line[k]]) - rs[line[k]]
+            assert edge == diff[line[k], atom[k]]
+            deltas.append(float(abs(edge)))
+    return deltas
 
 
 @settings(max_examples=80, deadline=None)
@@ -91,11 +103,13 @@ def mirrored_ties(rng, mu, nu, center, delta):
 def test_incidence_brute_equals_bucketed_exactly(data):
     # up to 1000 atoms near the origin and 1000 tubes with angles in
     # [1/4, 3/4) and offsets in [-1, 1), all at resolution 2^-7; the drawn
-    # seed places them, so few cells repeat and the candidate sets are large.
-    # At times the atoms come in mirrored pairs whose projections tie at one
-    # band center, with as many more lines in that band, so the band sort
-    # meets many ties.  mu's weights are random, or all equal so that
-    # incidences counts hits
+    # seed places them, so few cells repeat and the runs are long.  At
+    # times two more deltas put a pair exactly on the lower and on the
+    # upper edge of its tube; at times the lines all run at theta = 1/4 and
+    # the atoms hold tied rows, with deltas that put tied rows on the
+    # edges.  mu's weights are random, or all equal so that incidences
+    # counts hits.  The deltas, one of them twice, go in one at a time and
+    # as one sequence
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
 
     def atoms(x_range, y_range):
@@ -108,15 +122,20 @@ def test_incidence_brute_equals_bucketed_exactly(data):
     deltas = st.one_of(st.sampled_from([2.0 ** -k for k in range(3, 8)]),
                        st.floats(2.0 ** -7, 2.0 ** -3))
     ds = data.draw(st.lists(deltas, min_size=1, max_size=3))
-    center = data.draw(st.sampled_from([None, 0.25, 0.5, 0.75]))
-    if center is not None:
-        ds.append(data.draw(st.sampled_from(TIE_DELTAS[center])))
-        mu, nu = mirrored_ties(rng, mu, nu, center, ds[-1])
+    edges = np.ones(len(mu), dtype=bool)
+    fixture = data.draw(st.sampled_from(["random", "edges", "quarter turn"]))
+    if fixture == "quarter turn":
+        mu, nu, edges = quarter_turn_rows(rng, mu)
+        ds = [d + 0.5 for d in ds]  # nu's resolution is 1/2
     if data.draw(st.booleans()):
         mu = PlanarAtomMeasure(mu.resolution, mu.ix, mu.iy,
                                np.full(len(mu), mu.weights[0]))
-    for d in ds:
-        assert incidences(mu, nu, d) == brute_incidences(mu, nu, d)
+    if fixture != "random":
+        ds += edge_deltas(rng, mu, nu, edges)
+    ds.append(ds[0])
+    want = [brute_incidences(mu, nu, d) for d in ds]
+    assert [incidences(mu, nu, d) for d in ds] == want
+    assert incidences(mu, nu, ds) == want
 
 
 def test_incidence_monotone_in_delta():
@@ -146,6 +165,52 @@ def test_incidence_resolution_precondition():
     for delta in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             incidences(mu, nu, delta)
+
+
+@pytest.mark.parametrize("deltas, match", [
+    ([], "no delta"), ([math.nan], "finite"), ([2.0 ** -4, math.inf], "finite"),
+    ([2.0 ** -4, 2.0 ** -6], "resolutions")])
+def test_incidence_delta_sequence_checked_before_any_work(deltas, match,
+                                                          monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the delta checks")
+
+    monkeypatch.setattr(incidence, "_incidence_masses", no_work)
+    mu = origin_atom(2.0 ** -5)
+    nu = line_atom(2.0 ** -5, 0.5, 0.0)
+    with pytest.raises(ValueError, match=match):
+        incidences(mu, nu, deltas)
+
+
+def test_incidence_sequence_form():
+    mu = origin_atom(2.0 ** -6)
+    nu = line_atom(2.0 ** -6, 0.5, 0.0)
+    assert incidences(mu, nu, (0.05, 0.1)) == [1.0, 1.0]
+    assert incidences(mu, nu, np.array([0.05])) == [1.0]
+    assert isinstance(incidences(mu, nu, np.float64(0.05)), float)
+    empty = LineParamMeasure(2.0 ** -6, [], [], [])
+    assert incidences(mu, empty, [0.05, 0.1]) == [0.0, 0.0]
+
+
+def test_sweep_calls_incidences_once_per_fixture(monkeypatch):
+    calls = []
+    exact = incidence.incidences
+
+    def counted(mu, nu, deltas):
+        calls.append(list(deltas))
+        return exact(mu, nu, deltas)
+
+    monkeypatch.setattr(incidence, "incidences", counted)
+    deltas = [2.0 ** -6, 2.0 ** -5]
+    rows, _ = experiments.exp_incidence_sweep(seed=0, t_values=(1.3, 1.7),
+                                              n_seeds=1, deltas=deltas)
+    assert calls == [[2.0 ** -5, 2.0 ** -6]] * 2
+    mu = generate_cantor_measure(1.3, 2.0 ** -6, seed=[0, 5, 0],
+                                 window=_auto_window(PLANE, 1.3, 2.0 ** -6))
+    nu = generate_line_measure(1.3, 2.0 ** -6, seed=[0, 6, 0],
+                               window=_auto_window(LINESPACE, 1.3, 2.0 ** -6))
+    assert [r["incidence"] for r in rows[:2]] == [
+        exact(mu, nu, d) for d in calls[0]]
 
 
 def test_lemma4_point_at_origin():

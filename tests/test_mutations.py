@@ -54,24 +54,23 @@ def quick_experiment_fails(name):
 
 def test_tube_width_two_delta_in_incidences(monkeypatch):
     mutate(monkeypatch, incidence, "incidences",
-           "- rs[k]) <= delta", "- rs[k]) <= 2 * delta")
+           "np.array(deltas)[:, None]", "2 * np.array(deltas)[:, None]")
     with pytest.raises(AssertionError):
         test_incidence.test_incidence_brute_equals_bucketed_exactly()
 
 
-def test_band_slack_dropped_from_incidences(monkeypatch):
-    # the flat-over-delta test runs generated measures, whose weights are
-    # all equal, so the defect is seen through the count reduction
-    mutate(monkeypatch, incidence, "incidences",
-           "slack = 2.0 * math.pi * maxnorm * delta", "slack = 0.0")
+def test_upper_run_end_before_the_tube_edge_in_incidences(monkeypatch):
+    # a pair exactly on the upper edge, fl(p - r) = +delta, is left out of
+    # its run; the brute property's exact-edge fixtures put pairs there
+    mutate(monkeypatch, incidence, "_hit_runs",
+           "- rs <= deltas", "- rs < deltas")
     with pytest.raises(AssertionError):
-        test_incidence.test_incidences_over_delta_are_flat_at_finite_energy(
-            1.3, 0, monkeypatch)
+        test_incidence.test_incidence_brute_equals_bucketed_exactly()
 
 
 def test_hit_count_times_weight_in_incidences(monkeypatch):
     # a product rounds once where np.sum of equal weights rounds per addition
-    mutate(monkeypatch, incidence, "incidences",
+    mutate(monkeypatch, incidence, "_incidence_masses",
            "np.sum(np.full(int(c), w[0]))", "int(c) * w[0]")
     with pytest.raises(AssertionError):
         test_incidence.test_incidence_brute_equals_bucketed_exactly()
