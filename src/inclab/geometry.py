@@ -38,30 +38,30 @@ def project(p, theta):
     return p[..., 0] * c + p[..., 1] * s
 
 
+# root box -> its extent ((x_lo, x_hi), (y_lo, y_hi)), then log2 of the side
+# and of the counts (nx, ny) of its level-0 cells; each level halves the side
+_ROOTS = {PLANE: (((-2.0, 2.0), (-2.0, 2.0)), 2, (0, 0)),
+          LINESPACE: (((0.0, 1.0), (-2.0, 2.0)), 0, (0, 2))}
+
+
+def _root(root):
+    if isinstance(root, str) and root in _ROOTS:
+        return _ROOTS[root]
+    raise ValueError(f"unknown root {root!r}")
+
+
 def root_extent(root):
     """((x_lo, x_hi), (y_lo, y_hi)) of the root box."""
-    if root == PLANE:
-        return (-2.0, 2.0), (-2.0, 2.0)
-    if root == LINESPACE:
-        return (0.0, 1.0), (-2.0, 2.0)
-    raise ValueError(f"unknown root {root!r}")
+    return _root(root)[0]
 
 
 def side_at_level(root, level):
-    if root == PLANE:
-        return 4.0 * 2.0 ** (-level)
-    if root == LINESPACE:
-        return 2.0 ** (-level)
-    raise ValueError(f"unknown root {root!r}")
+    return 2.0 ** _root(root)[1] * 2.0 ** (-level)
 
 
 def grid_shape(root, level):
     """(nx, ny) cell counts at a level."""
-    if root == PLANE:
-        return 2 ** level, 2 ** level
-    if root == LINESPACE:
-        return 2 ** level, 2 ** (level + 2)
-    raise ValueError(f"unknown root {root!r}")
+    return tuple(2 ** (level + b) for b in _root(root)[2])
 
 
 def _cell_codes(root, level, ix, iy, up=0):
@@ -85,7 +85,7 @@ def level_for_resolution(root, delta):
     j = 1 - math.frexp(delta)[1]  # exact, also where 1 / delta overflows
     if not math.isclose(delta, 2.0 ** (-j), rel_tol=0.0, abs_tol=0.0):
         raise ValueError(f"resolution {delta} is not a power of two")
-    level = j + 2 if root == PLANE else j
+    level = j + _root(root)[1]
     if level < 0:
         raise ValueError(f"resolution {delta} is coarser than the {root} root")
     return level

@@ -1,15 +1,23 @@
-"""Committed sha256 digests of the quick verify trees, of the desk
-acceptance results and of the demos' standard output, and their checks.
+"""Committed sha256 digests of what inclab writes and prints, and their one
+check.
 
-`golden.json` holds, for each named tree, the digest of every file a
-`verify` run writes; for each desk acceptance experiment, the digest of
-its `(rows, summary)` at seed DESK_SEED; for each demo script, the digest
-of what it prints; and the Python, numpy and scipy versions the digests
+`golden.json` has one section per kind of output:
+- `trees`: for each named quick `verify` run, the digest of every file it
+  writes;
+- `commands`: for each other command line of COMMANDS, the digest of every
+  file it writes under `--out`, of its standard output and its exit code;
+- `desk`: for each desk acceptance experiment, the digest of its
+  `(rows, summary)` at seed DESK_SEED;
+- `demos`: for each demo script, the digest of what it prints;
+and, under `environment`, the Python, numpy and scipy versions the digests
 were written with: floating-point results may move with any of them.
-`tools/write_golden.py` rewrites the file.
+`check` compares one entry of any section; `tools/write_golden.py`
+rewrites the file.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -20,6 +28,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from inclab import cli
+
 GOLDEN = Path(__file__).with_name("golden.json")
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -29,6 +39,12 @@ TREES = {
     "verify_quick_seed_2026": ["verify", "--scale", "quick", "--seed", "2026"],
     "verify_quick_seed_3": ["verify", "--scale", "quick", "--seed", "3"],
 }
+
+# every command but verify, at its defaults except for the grid side:
+# xray-check and smoothing take the smallest --n each accepts (xray-check
+# exits 1 at that size)
+COMMANDS = ("energy", "incidence-sweep", "content", "furstenberg", "slicing",
+            "radial", "xray-check --n 32", "smoothing --n 16")
 
 # the desk acceptance experiments (each run with its default arguments)
 DESK_SEED = 2026
@@ -42,9 +58,8 @@ def environment():
             "scipy": scipy.__version__}
 
 
-def _versions(golden):
-    return (f"written with {golden['environment']}; this run has "
-            f"{environment()}")
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def tree_digests(out):
@@ -53,31 +68,22 @@ def tree_digests(out):
             for p in sorted(Path(out).iterdir())}
 
 
-def check_tree(name, out):
-    """Assert that the files in `out` hash as committed for tree `name`."""
-    golden = json.loads(GOLDEN.read_text())
-    want, got = golden["trees"][name], tree_digests(out)
-    moved = sorted(k for k in want.keys() | got.keys()
-                   if want.get(k) != got.get(k))
-    assert not moved, (
-        f"{name}: {', '.join(moved)} differ from {GOLDEN.name}, "
-        f"{_versions(golden)}")
-
-
 def result_digest(rows, summary):
     """sha256 of an experiment's (rows, summary), serialised as the CLI's
     JSON writer serialises a summary."""
-    text = json.dumps([rows, summary], indent=2, sort_keys=True, default=str)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return digest(json.dumps([rows, summary], indent=2, sort_keys=True,
+                             default=str))
 
 
-def check_desk(name, rows, summary):
-    """Assert that a desk experiment's (rows, summary) at DESK_SEED hash as
-    committed."""
-    golden = json.loads(GOLDEN.read_text())
-    assert result_digest(rows, summary) == golden["desk"][name], (
-        f"{name} at seed {DESK_SEED} differs from {GOLDEN.name}, "
-        f"{_versions(golden)}")
+def run_command(command, out):
+    """Run the command line `command` in process with `--out out`; the
+    digests of the files it writes and of its standard output, and its
+    exit code."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = cli.main([*command.split(), "--out", str(out)])
+    return {**tree_digests(out), "stdout": digest(text.getvalue()),
+            "exit": code}
 
 
 def run_demo(path):
@@ -90,13 +96,16 @@ def run_demo(path):
                           capture_output=True, text=True, timeout=300)
 
 
-def stdout_digest(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def check_demo(name, stdout):
-    """Assert that demo `name` printed what it printed when committed."""
+def check(section, name, got):
+    """Assert that `got`, a digest or a dict of them, equals entry `name` of
+    golden.json's `section`; the message names each part that differs."""
     golden = json.loads(GOLDEN.read_text())
-    assert stdout_digest(stdout) == golden["demos"][name], (
-        f"{name}'s standard output differs from {GOLDEN.name}, "
-        f"{_versions(golden)}")
+    want = golden[section][name]
+    if not isinstance(want, dict):
+        want, got = {name: want}, {name: got}
+    moved = sorted(k for k in want.keys() | got.keys()
+                   if want.get(k) != got.get(k))
+    assert not moved, (
+        f"{section} {name}: {', '.join(moved)} differ from {GOLDEN.name}, "
+        f"written with {golden['environment']}; this run has "
+        f"{environment()}")

@@ -17,7 +17,7 @@ from inclab.content import dyadic_content, multiscale_cover, smallest_katz_tao_c
 from inclab.geometry import PLANE
 from inclab.measures import PointSet
 
-from golden import DESK_SEED, check_desk, check_tree
+from golden import DESK_SEED, check, result_digest, tree_digests
 
 SEED = DESK_SEED
 
@@ -27,7 +27,7 @@ def _timed(func):
     t0 = time.time()
     rows, summary = func(seed=SEED)
     elapsed = time.time() - t0
-    check_desk(func.__name__, rows, summary)
+    check("desk", func.__name__, result_digest(rows, summary))
     return rows, summary, elapsed
 
 
@@ -169,4 +169,4 @@ def test_criterion_12_determinism(tmp_path):
     _report(12, "determinism", identical,
             f"{len(names1)} artifacts byte-identical across reruns",
             time.time() - t0, 1200)
-    check_tree("verify_quick_seed_2026", out1)
+    check("trees", "verify_quick_seed_2026", tree_digests(out1))

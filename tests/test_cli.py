@@ -7,9 +7,14 @@ import sys
 import time
 from pathlib import Path
 
-from inclab import cli
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from golden import check_tree
+from inclab import cli
+from inclab import experiments as ex
+
+import golden
 
 
 def test_unknown_command_exits_2(capsys):
@@ -312,6 +317,117 @@ def test_rows_to_csv_layout():
     assert cli._rows_to_csv([]) == "\n"
 
 
+@pytest.mark.parametrize("command", golden.COMMANDS)
+def test_command_output_as_committed(command, tmp_path):
+    # every file under --out, the standard output and the exit code
+    golden.check("commands", command, golden.run_command(command, tmp_path))
+
+
+def _mostly(good, bad):
+    """Draws from `good` three times in four, else from `bad`."""
+    return st.integers(0, 3).flatmap(lambda k: good if k else bad)
+
+
+# flag values as text, each a value its parser takes or, one draw in four,
+# one it refuses: range ends and values past them, non-finite numbers,
+# words, and --deltas lists up to twice MAX_DELTAS long
+NUMBER = _mostly(st.sampled_from(["0", "0.5", "1", "1.01", "1.5", "2", "3",
+                                  "-1", "nan", "inf", "-inf", "1e400"])
+                 | st.floats().map(repr), st.sampled_from(["abc", "", "1,5"]))
+DELTA = st.sampled_from(["2^-5", "2^-6", "0.03125", "2^0", "2^-1074"])
+FLAG_VALUES = {
+    "s": NUMBER, "t": NUMBER, "tau": NUMBER, "sigma": NUMBER,
+    "n": _mostly(st.sampled_from(["16", "32", "64", "512"]),
+                 st.sampled_from(["8", "100", "1024", "0", "-32", "2.5"])
+                 | st.integers().map(str)),
+    "deltas": _mostly(
+        st.lists(DELTA, min_size=1, max_size=cli.MAX_DELTAS),
+        st.lists(DELTA | st.sampled_from(
+            ["0", "-2^-5", "nan", "inf", "1e-400", "10^400", "0^-1", "2^",
+             "2^3^4", "abc", ""]), max_size=2 * cli.MAX_DELTAS)).map(",".join),
+    "seed": _mostly(st.integers(0, 2 ** 70).map(str),
+                    st.sampled_from(["-1", "1.5", "abc"])),
+    "format": _mostly(st.sampled_from(["csv", "json", "both"]), st.just("xml")),
+    "scale": _mostly(st.sampled_from(["desk", "quick"]), st.just("huge")),
+    # a real thread pool would start this many threads
+    "threads": _mostly(st.sampled_from(["1", "2", "3"]),
+                       st.sampled_from(["0", "-1", "abc"])),
+}
+UNKNOWN = ["frobnicate", "thr", "del"]  # the last two abbreviate real flags
+
+
+@st.composite
+def argvs(draw, tmp):
+    """An argv for one command: flags it reads, sometimes one it does not,
+    sometimes a --config file written under `tmp`, and an --out under
+    `tmp` that is, one draw in four, a file or a path below one."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    read = [*cli.COMMANDS[command][1], "seed", "format"]
+    flags = draw(st.lists(st.sampled_from(read), max_size=4))
+    unread = sorted(FLAG_VALUES.keys() - set(read)) + UNKNOWN
+    flags += draw(_mostly(st.just([]), st.sampled_from(unread).map(
+        lambda flag: [flag])))
+    argv = [command]
+    for flag in flags:
+        value = draw(FLAG_VALUES.get(flag, NUMBER))
+        argv += draw(st.sampled_from([[f"--{flag}", value],
+                                      [f"--{flag}={value}"]]))
+    config = draw(_mostly(st.none(), st.lists(
+        st.sampled_from(read + ["config"] + UNKNOWN), unique=True, max_size=3)
+        | st.sampled_from(["not json", "[1, 2]", "", "missing"])))
+    if config is not None:
+        path = tmp / "cfg.json"
+        if config == "missing":
+            path = tmp / "missing.json"
+        elif isinstance(config, str):
+            path.write_text(config)
+        else:
+            path.write_text(json.dumps({key: draw(_mostly(
+                FLAG_VALUES.get(key, NUMBER), st.integers() | st.booleans()
+                | st.none() | st.lists(st.integers(), max_size=2)))
+                for key in config}))
+        argv += ["--config", str(path)]
+    out = draw(_mostly(st.just("out"), st.sampled_from(["file", "file/sub"])))
+    return argv + ["--out", str(tmp / out)]
+
+
+def test_every_argv_runs_or_exits_2(tmp_path, monkeypatch):
+    # each experiment is a stub that passes, so main returns 0 exactly
+    # when a stub ran, and 2 otherwise; what the parser refuses (flags,
+    # values, config, --out) never reaches a stub.  The caps raised inside
+    # the builders are the rows of test_invalid_parameter_exit_2.
+    calls = []
+
+    def stub(seed=0, **params):
+        calls.append(seed)
+        return [{"seed": seed}], {"pass": True, "fixtures": [{}]}
+
+    for name in dir(ex):
+        if name.startswith("exp_"):
+            monkeypatch.setattr(ex, name, stub)
+    monkeypatch.setattr(ex, "VERIFY_PLAN", [
+        (name, stub, {"desk": {}, "quick": {}})
+        for name, _, _ in ex.VERIFY_PLAN])
+    monkeypatch.delenv("INCLAB_THREADS", raising=False)
+    (tmp_path / "file").write_text("")
+
+    @settings(max_examples=200, deadline=None)
+    @given(argvs(tmp_path))
+    def runs_or_exits_2(argv):
+        try:
+            cli.parse_args(argv)
+            refused = False
+        except (SystemExit, ValueError):
+            refused = True
+        calls.clear()
+        code = cli.main(argv)
+        assert code in (0, 2)
+        assert (code == 0) == bool(calls)
+        assert not (refused and calls)
+
+    runs_or_exits_2()
+
+
 def test_verify_quick_deterministic(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
@@ -328,7 +444,7 @@ def test_verify_quick_deterministic(tmp_path):
     assert files1 == files2
     for name in files1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    check_tree("verify_quick_seed_3", out1)
+    golden.check("trees", "verify_quick_seed_3", golden.tree_digests(out1))
     table = (out1 / "verify.csv").read_text().strip().split("\n")
     assert len(table) - 1 >= 8  # at least eight criterion rows
     # every CSV parses with the header's width; the witness cells, which

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from golden import DEMOS, check_demo, run_demo  # noqa: E402
+from golden import DEMOS, check, digest, run_demo  # noqa: E402
 
 
 def test_all_demos_found():
@@ -19,4 +19,4 @@ def test_demo_runs(demo):
     done = run_demo(demo)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
-    check_demo(demo.stem, done.stdout)
+    check("demos", demo.stem, digest(done.stdout))

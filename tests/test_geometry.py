@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from inclab.geometry import direction, project, projection_range
+from inclab.geometry import (LINESPACE, PLANE, direction, grid_shape,
+                             level_for_resolution, project, projection_range,
+                             root_extent, side_at_level)
 
 
 def test_dist_to_line_on_line():
@@ -103,3 +105,23 @@ def test_dyadic_tube_disjoint_offsets():
     # theta in [3/16, 4/16), r cell [1.75, 1.8125)
     _, hi = projection_range((1.0, 0.5), 3 / 16, 4 / 16)
     assert hi < 1.75
+
+
+def test_root_box_facts():
+    # the plane box has level-0 side 4 and one level-0 cell, the
+    # line-parameter box side 1 and 1 x 4 cells; each level down halves the
+    # side and doubles both counts
+    assert root_extent(PLANE) == ((-2.0, 2.0), (-2.0, 2.0))
+    assert root_extent(LINESPACE) == ((0.0, 1.0), (-2.0, 2.0))
+    for level in (0, 1, 7):
+        assert side_at_level(PLANE, level) == 4.0 * 2.0 ** -level
+        assert side_at_level(LINESPACE, level) == 2.0 ** -level
+        assert grid_shape(PLANE, level) == (2 ** level, 2 ** level)
+        assert grid_shape(LINESPACE, level) == (2 ** level, 2 ** (level + 2))
+        assert level_for_resolution(PLANE, 4.0 * 2.0 ** -level) == level
+        assert level_for_resolution(LINESPACE, 2.0 ** -level) == level
+    for fact in (root_extent, lambda root: side_at_level(root, 1),
+                 lambda root: grid_shape(root, 1),
+                 lambda root: level_for_resolution(root, 0.5)):
+        with pytest.raises(ValueError, match="unknown root 'SPHERE'"):
+            fact("SPHERE")

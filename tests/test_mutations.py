@@ -198,6 +198,16 @@ def test_cover_square_doubled_in_dyadic_content(monkeypatch):
     assert quick_experiment_fails("content-dp")
 
 
+def test_cover_squares_shifted_by_one_in_dyadic_content(monkeypatch):
+    # criterion 7's rule does not see this one, quick (seeds 0 and 2026):
+    # the values are right, so the oracles agree 25/25, but each level's
+    # cover squares are the chosen mask rolled by one; multiscale_cover's
+    # partition check sees the cover miss cells, and criterion 8 fails
+    mutate(monkeypatch, content, "dyadic_content",
+           "codes[mask]", "codes[np.roll(mask, 1)]")
+    assert quick_experiment_fails("content-dp")
+
+
 def test_cover_lp_nodes_numbered_in_code_order(monkeypatch):
     # the LP optimum is the same cover either way, so criterion 7's rule
     # (quick, seeds 0 and 2026) and the DP-against-LP property do not see
